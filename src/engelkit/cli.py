@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -94,9 +95,14 @@ def _parse_point(text: str) -> dict[str, float | Fraction | int]:
         name = name.strip()
         value = value.strip()
         if "." in value or "e" in value or "E" in value:
-            point[name] = float(value)
+            number = float(value)
+            if not math.isfinite(number):
+                raise ValueError(f"point value {name}={value} is not a finite number")
+            point[name] = number
         elif "/" in value:
             num, den = value.split("/")
+            if int(den) == 0:
+                raise ValueError(f"point value {name}={value} divides by zero")
             point[name] = Fraction(int(num), int(den))
         else:
             point[name] = int(value)

@@ -37,6 +37,7 @@ from .forms import (
     CoframeChart,
     DifferentialForm,
     VectorField,
+    certified_rank,
     distribution_growth,
     generic_rank,
     lie_bracket,
@@ -460,12 +461,11 @@ def classify_at(t: Expr | MarkedStructure, point: Mapping[str, Number]) -> Branc
 
 def _brackets_stay_in_span(fields: Sequence[VectorField]) -> bool:
     base = [list(X.comps) for X in fields]
-    r = linalg.rank(base)
     extended = list(base)
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
             extended.append(list(lie_bracket(fields[i], fields[j]).comps))
-    return linalg.rank(extended) == r
+    return certified_rank(extended) == certified_rank(base)
 
 
 @dataclass
@@ -551,8 +551,8 @@ def geometric_checks(t: Expr | MarkedStructure) -> GeometryReport:
         derived_basis = [xi2, xi3, xi4, bracket32]
         candidate = lie_bracket(xi3, bracket32)
         rows = [list(X.comps) for X in derived_basis]
-        report.tangent_symmetry_of_derived = linalg.rank(
-            rows + [list(candidate.comps)]) == linalg.rank(rows)
+        report.tangent_symmetry_of_derived = certified_rank(
+            rows + [list(candidate.comps)]) == certified_rank(rows)
         if inv.L.is_zero:
             report.m_is_zero = inv.M.is_zero
             report.derived_integrable = _brackets_stay_in_span(derived_basis)

@@ -7,15 +7,25 @@ with nonzero coefficients are kept.
 
 Sign conventions: for 1-forms ``(α∧β)(X, Y) = α(X)β(Y) − α(Y)β(X)``, and the
 exterior derivative satisfies ``dθ(X, Y) = X·θ(Y) − Y·θ(X) − θ([X, Y])``.
+
+Ranks over the rational-function field are certified (:func:`certified_rank`).
+A minor that is nonzero at a rational point where every entry is defined is a
+nonzero rational function (Schwartz 1980; Zippel 1979), so the exact rank of
+the matrix evaluated at such a point is a proved lower bound on its generic
+rank.  When that bound meets the structural upper bound min(rows, columns) it
+is the answer; otherwise the rank comes from symbolic elimination.  Points
+never prove a dependency, so every rank-deficient answer is symbolic.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .symexpr import Expr, VarKind, make_var, symbol
+from .symexpr import Expr, PoleError, VarKind, make_var, symbol
 
 __all__ = [
     "Chart",
@@ -26,6 +36,7 @@ __all__ = [
     "lie_bracket",
     "lie_derivative",
     "interior_product",
+    "certified_rank",
     "generic_rank",
     "distribution_growth",
     "type_of",
@@ -390,30 +401,75 @@ class CoframeChart:
         return result
 
 
+# Sample points for certified_rank: each variable's value at point k is drawn
+# from a generator seeded by its name and k alone, so it does not depend on
+# the matrix or on the interpreter's hash seed.
+SAMPLE_POINTS = 3
+
+
+def sample_value(name: str, k: int) -> Fraction:
+    """Value of the variable ``name`` at sample point ``k``."""
+    rng = random.Random(f"certified_rank/{name}/{k}")
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 997), rng.randint(1, 997))
+
+
+def certified_rank(rows: Sequence[Sequence[Expr]]) -> int:
+    """Rank of a matrix of expressions over the rational-function field.
+
+    The matrix is evaluated exactly at ``SAMPLE_POINTS`` seeded rational
+    points, skipping those where an entry has a pole.  The rank at each such
+    point is a proved lower bound; when one reaches min(rows, columns) it is
+    the rank.  Otherwise the rank comes from symbolic elimination.
+    """
+    if not rows:
+        return 0
+    full = min(len(rows), len(rows[0]))
+    names = sorted({v.name for row in rows for e in row for v in e.occurring_vars()})
+    for k in range(SAMPLE_POINTS):
+        point = {name: sample_value(name, k) for name in names}
+        try:
+            values = [[e.evaluate(point) for e in row] for row in rows]
+        except PoleError:
+            continue
+        if linalg.rank(values) == full:
+            return full
+    return linalg.rank(rows)
+
+
 def generic_rank(fields: Sequence[VectorField]) -> int:
     """Rank of the component matrix over the rational-function field."""
     if not fields:
         raise FormError("need at least one vector field")
-    return linalg.rank([list(X.comps) for X in fields])
+    return certified_rank([list(X.comps) for X in fields])
 
 
 def distribution_growth(fields: Sequence[VectorField], depth: int = 3) -> tuple[int, ...]:
     """Growth vector of the distribution spanned by the given fields.
 
     Entry k is the generic rank of the span after k rounds of bracketing the
-    original distribution into the previous step.
+    original distribution into the previous step.  Only brackets that can
+    add to the span are formed: [X, X] = 0 and [Y, X] = -[X, Y] leave one
+    bracket per pair in the first round, and each later round brackets the
+    generators with the fields the previous round added.  Once a round adds
+    nothing, the span is closed under bracketing with the generators and the
+    growth stays put.
     """
     if depth > 3:
         raise FormError("growth depth is capped at 3")
-    current = list(fields)
-    growth = [generic_rank(current)]
-    for _ in range(depth - 1):
-        extended = list(current)
-        for X in fields:
-            for Y in current:
-                extended.append(lie_bracket(X, Y))
-        growth.append(generic_rank(extended))
-        current = extended
+    fields = list(fields)
+    rows = [list(X.comps) for X in fields]
+    growth = [certified_rank(rows)]
+    added: list[VectorField] = []
+    for step in range(1, depth):
+        if step == 1:
+            added = [lie_bracket(fields[i], fields[j])
+                     for i in range(len(fields)) for j in range(i + 1, len(fields))]
+        else:
+            added = [lie_bracket(X, Y) for X in fields for Y in added]
+        rows += [list(X.comps) for X in added]
+        growth.append(certified_rank(rows))
+        if growth[-1] == growth[-2]:
+            return tuple(growth + [growth[-1]] * (depth - 1 - step))
     return tuple(growth)
 
 
@@ -428,7 +484,7 @@ def type_of(X: VectorField, theta: DifferentialForm) -> int:
     for _ in range(4):
         rows.append([current.coefficient((k,)) for k in range(X.chart.dim)])
         current = lie_derivative(X, current)
-    return linalg.rank(rows)
+    return certified_rank(rows)
 
 
 def pullback(alpha: DifferentialForm, mapping: Mapping[str, Expr],

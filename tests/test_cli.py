@@ -27,6 +27,19 @@ class TestExitCodes:
         code, report = run(["kerr", "verify", "--F", "t", "--t", "x4"])
         assert code == 1 and report.status == "verification-failed"
 
+    def test_point_value_dividing_by_zero_is_input_error(self):
+        code, report = run(["classify", "--t", "x3",
+                            "--at", "x0=1/0,x1=0,x2=0,x3=2,x4=0"])
+        assert code == 2 and report.status == "input-error"
+        assert "divides by zero" in report.results["error"]
+
+    @pytest.mark.parametrize("value", ["1e400", "-1E999", "inf", "nan"])
+    def test_non_finite_point_value_is_input_error(self, value):
+        code, report = run(["kerr", "solve", "--F", "y2*t - (2*y3 - y1)",
+                            "--at", f"x0=1,x1={value},x2=1,x3=1,x4=1"])
+        assert code == 2 and report.status == "input-error"
+        assert report.results["error"]
+
     def test_transversality_is_input_error(self):
         code, report = run(["kerr", "section", "--H", "y1",
                             "--at", "x0=1,x1=3,x2=1,x3=1,x4=1"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -209,6 +210,20 @@ class TestGeometricChecks:
     def test_kerr_family(self):
         rep = geometric_checks(parse(KERR_FAMILY))
         assert rep.j_is_zero and rep.tangent_plane_integrable
+        assert rep.osculating_derived_rank == 4
+        assert rep.marked_line_type == 2
+        assert rep.all_consistent()
+
+    @pytest.mark.parametrize("marking", [
+        parse(KERR_FAMILY).substitute({"s": Fraction(3, 2)}),
+        parse(KERR_FAMILY).substitute({"s": Fraction(11, 3)}),
+        parse(KERR_FAMILY).substitute({"s": -5}),
+        parse("-7/2"),
+    ], ids=["kerr-3/2", "kerr-11/3", "kerr-minus-5", "constant"])
+    def test_integrable_seeds(self, marking):
+        rep = geometric_checks(marking)
+        assert rep.j_is_zero
+        assert rep.growth == (2, 2, 2)
         assert rep.osculating_derived_rank == 4
         assert rep.marked_line_type == 2
         assert rep.all_consistent()

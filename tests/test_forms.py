@@ -5,18 +5,24 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from engelkit import linalg
 from engelkit.forms import (
+    SAMPLE_POINTS,
     Chart,
     CoframeChart,
     DifferentialForm,
     FormError,
     VectorField,
+    certified_rank,
     distribution_growth,
     generic_rank,
     interior_product,
     lie_bracket,
     lie_derivative,
+    sample_value,
     type_of,
 )
 from engelkit.symexpr import Expr, integer, parse, symbol
@@ -234,6 +240,147 @@ class TestRankAndGrowth:
         cof = CoframeChart(X5, coframe_forms(t))
         frame = cof.dual_frame()
         assert distribution_growth([frame[3], frame[4]]) == (2, 2, 2)
+
+
+def unpruned_growth(fields, depth=3):
+    """Growth by bracketing every generator with every field of the last step."""
+    current = list(fields)
+    growth = [linalg.rank([list(X.comps) for X in current])]
+    for _ in range(depth - 1):
+        current = current + [lie_bracket(X, Y) for X in fields for Y in current]
+        growth.append(linalg.rank([list(X.comps) for X in current]))
+    return tuple(growth)
+
+
+class TestPrunedGrowth:
+    def engel_fields(self):
+        # the Engel distribution: growth (2, 3, 4)
+        X = VectorField.coordinate(X5, 3)
+        Y = VectorField(X5, [sym("x1"), sym("x3"), 1, 0, 0])
+        return [X, Y]
+
+    def test_engel_distribution(self):
+        fields = self.engel_fields()
+        assert distribution_growth(fields) == (2, 3, 4) == unpruned_growth(fields)
+
+    def test_commuting_fields_stay_put(self):
+        fields = [VectorField.coordinate(X5, 0), VectorField.coordinate(X5, 1)]
+        assert distribution_growth(fields) == (2, 2, 2) == unpruned_growth(fields)
+
+    def test_stalls_after_the_first_bracket(self):
+        # [X, Y] = d/dx2 commutes with both generators
+        fields = [VectorField.coordinate(X5, 0),
+                  VectorField(X5, [0, 1, sym("x0"), 0, 0])]
+        assert distribution_growth(fields) == (2, 3, 3) == unpruned_growth(fields)
+
+    def test_linear_marking_frame(self):
+        frame = CoframeChart(X5, coframe_forms(parse("x4"))).dual_frame()
+        fields = [frame[3], frame[4]]
+        assert distribution_growth(fields) == unpruned_growth(fields)
+
+    def test_depths(self):
+        fields = self.engel_fields()
+        assert distribution_growth(fields, depth=1) == (2,)
+        assert distribution_growth(fields, depth=2) == (2, 3)
+        flat = [VectorField.coordinate(X5, 0), VectorField.coordinate(X5, 1)]
+        assert distribution_growth(flat, depth=2) == (2, 2)
+
+
+class TestCertifiedRank:
+    @pytest.fixture
+    def symbolic_calls(self, monkeypatch):
+        """Records each call of linalg.rank on a matrix of expressions."""
+        calls = []
+        rank = linalg.rank
+
+        def spy(rows):
+            if rows and isinstance(rows[0][0], Expr):
+                calls.append(len(rows))
+            return rank(rows)
+
+        monkeypatch.setattr(linalg, "rank", spy)
+        return calls
+
+    def test_full_rank_is_certified_at_a_point(self, symbolic_calls):
+        rows = [[sym("x1"), sym("x2") ** 2, integer(1)],
+                [integer(1) / (sym("x1") + sym("x2")), sym("x1") * sym("x2"), sym("x2")]]
+        assert certified_rank(rows) == 2
+        assert symbolic_calls == []
+
+    def test_rank_deficient_falls_back_to_elimination(self, symbolic_calls):
+        x1 = sym("x1")
+        rows = [[x1, x1 ** 2], [integer(1), x1]]
+        assert certified_rank(rows) == 1
+        assert symbolic_calls == [2]
+
+    def test_free_parameters_get_values(self, symbolic_calls):
+        rows = [[sym("s"), sym("x1")], [integer(1), sym("s") * sym("x4")]]
+        assert certified_rank(rows) == 2
+        assert symbolic_calls == []
+
+    def test_points_at_a_pole_are_skipped(self, symbolic_calls):
+        x1 = sym("x1")
+        pole = integer(1) / (x1 - sample_value("x1", 0))
+        rows = [[pole, integer(0)], [integer(0), x1]]
+        assert certified_rank(rows) == 2
+        assert symbolic_calls == []
+
+    def test_poles_at_every_point_fall_back(self, symbolic_calls):
+        x1 = sym("x1")
+        den = integer(1)
+        for k in range(SAMPLE_POINTS):
+            den = den * (x1 - sample_value("x1", k))
+        rows = [[integer(1) / den, integer(0)], [integer(0), x1]]
+        assert certified_rank(rows) == 2
+        assert symbolic_calls == [2]
+
+    def test_sample_values_are_seeded(self):
+        assert sample_value("x1", 0) == sample_value("x1", 0)
+        assert len({sample_value("x1", k) for k in range(SAMPLE_POINTS)}) == SAMPLE_POINTS
+
+    def test_empty_matrix(self):
+        assert certified_rank([]) == 0
+
+
+def _low_degree(coeffs):
+    """Polynomial in x1, x2 of degree at most two from six coefficients."""
+    x1, x2 = sym("x1"), sym("x2")
+    monomials = [integer(1), x1, x2, x1 * x1, x1 * x2, x2 * x2]
+    return sum((integer(c) * m for c, m in zip(coeffs, monomials)), integer(0))
+
+
+_coefficients = st.lists(st.integers(-3, 3), min_size=6, max_size=6)
+
+
+@st.composite
+def rational_entries(draw):
+    num = _low_degree(draw(_coefficients))
+    den = _low_degree(draw(_coefficients)[:3])  # degree at most one
+    return num / den if not den.is_zero else num
+
+
+@st.composite
+def rational_matrices(draw):
+    n_rows = draw(st.integers(1, 4))
+    n_cols = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(n_rows):
+        if rows and draw(st.booleans()):
+            # a combination of earlier rows with rational-function coefficients
+            row = [integer(0)] * n_cols
+            for earlier in rows:
+                coeff = draw(rational_entries())
+                row = [a + coeff * b for a, b in zip(row, earlier)]
+        else:
+            row = [draw(rational_entries()) for _ in range(n_cols)]
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_matrices())
+def test_certified_rank_matches_elimination(rows):
+    assert certified_rank(rows) == linalg.rank(rows)
 
 
 class TestLieDerivativeAndType:

@@ -31,7 +31,8 @@ from fractions import Fraction
 from typing import Any
 
 from . import cubicalg, engel, g2alg, kerr, models, tanaka
-from .symexpr import Expr, ExprError, parse
+from .forms import distribution_growth
+from .symexpr import ExprError, parse
 
 __all__ = ["main", "run", "Report"]
 
@@ -109,10 +110,6 @@ def _parse_point(text: str) -> dict[str, float | Fraction | int]:
     return point
 
 
-def _expr_str(e: Expr) -> str:
-    return str(e)
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 # ---------------------------------------------------------------------------
@@ -121,18 +118,19 @@ def _expr_str(e: Expr) -> str:
 def _cmd_invariants(args, report: Report) -> None:
     t = parse(args.t)
     report.inputs["t"] = args.t
-    closed = engel.invariants_closed_form(t)
-    structural = engel.invariants_from_structure_equations(t)
+    acf = engel.adapted_coframe(t)
+    closed = engel.invariants_closed_form(acf)
+    structural = engel.invariants_from_structure_equations(acf)
     table = {}
     agree = True
     for name, value in closed.main_fields().items():
-        table[name] = _expr_str(value)
+        table[name] = str(value)
         if not (value - getattr(structural, name)).is_zero:
             agree = False
     report.results["invariants"] = table
     report.results["routes_agree"] = agree
     try:
-        label = engel.classify(t)
+        label = engel.classify(acf)
         report.results["branch"] = label.leaf
         report.results["symmetry_dimension"] = label.symmetry_dimension
         report.results["annotation"] = label.annotation
@@ -146,12 +144,14 @@ def _cmd_invariants(args, report: Report) -> None:
 def _cmd_classify(args, report: Report) -> None:
     t = parse(args.t)
     report.inputs["t"] = args.t
+    point = _parse_point(args.at) if args.at else None
+    acf = engel.adapted_coframe(t)
     try:
-        if args.at:
-            label = engel.classify_at(t, _parse_point(args.at))
+        if point is not None:
+            label = engel.classify_at(acf, point)
             report.inputs["at"] = args.at
         else:
-            label = engel.classify(t)
+            label = engel.classify(acf)
     except engel.BranchNotConstantError as exc:
         report.results["branch"] = "non-constant"
         report.results["detail"] = str(exc)
@@ -167,10 +167,7 @@ def _cmd_classify(args, report: Report) -> None:
 def _cmd_growth(args, report: Report) -> None:
     t = parse(args.t)
     report.inputs["t"] = args.t
-    acf = engel.adapted_coframe(t)
-    from .forms import distribution_growth
-
-    frame = acf.frame
+    frame = engel.adapted_coframe(t).frame
     growth = distribution_growth([frame[3], frame[4]])
     report.results["growth"] = list(growth)
     report.results["integrable"] = growth[-1] == 2
@@ -179,7 +176,7 @@ def _cmd_growth(args, report: Report) -> None:
 def _cmd_geometry(args, report: Report) -> None:
     t = parse(args.t)
     report.inputs["t"] = args.t
-    rep = engel.geometric_checks(t)
+    rep = engel.geometric_checks(engel.adapted_coframe(t))
     results = {
         "first_invariant_vanishes": rep.j_is_zero,
         "tangent_plane_integrable": rep.tangent_plane_integrable,
@@ -207,8 +204,8 @@ def _cmd_kerr_verify(args, report: Report) -> None:
     report.inputs["F"] = args.F
     report.inputs["t"] = args.t
     rep = kerr.verify_kerr_pair(F, t)
-    report.results["composition_residual"] = _expr_str(rep.composition_residual)
-    report.results["integrability_function"] = _expr_str(rep.integrability_function)
+    report.results["composition_residual"] = str(rep.composition_residual)
+    report.results["integrability_function"] = str(rep.integrability_function)
     report.results["pass"] = rep.passed
     if not rep.passed:
         report.status = FAILED
@@ -306,10 +303,7 @@ _G0_CHOICES = ("gl2", "borel", "derivations")
 
 def _g0_matrices(name: str):
     if name == "gl2":
-        return [cubicalg.rho_prime([[1, 0], [0, 0]]),
-                cubicalg.rho_prime([[0, 1], [0, 0]]),
-                cubicalg.rho_prime([[0, 0], [1, 0]]),
-                cubicalg.rho_prime([[0, 0], [0, 1]])]
+        return cubicalg.gl2_basis()
     if name == "borel":
         return [cubicalg.rho_prime([[1, 0], [0, 0]]),
                 cubicalg.rho_prime([[0, 1], [0, 0]]),
@@ -324,6 +318,8 @@ def _cmd_tanaka_prolong(args, report: Report) -> None:
     report.results["g0_dimension"] = table.g0_dim
     report.results["degree_dims"] = list(table.degree_dims)
     report.results["total_dimension"] = table.total_dimension
+    if not table.terminated:
+        report.results["truncated"] = True
     if args.g0 == "borel":
         report.results["matches_parabolic"] = tanaka.prolongation_matches_parabolic()
         if not report.results["matches_parabolic"]:
@@ -391,7 +387,7 @@ def _cmd_reduction(args, report: Report) -> None:
     rep = engel.verify_flat_reduction()
     report.results["equations"] = {name: residual.is_zero
                                    for name, residual in rep.residuals.items()}
-    report.results["u3_solved"] = _expr_str(rep.u3_solved)
+    report.results["u3_solved"] = str(rep.u3_solved)
     report.results["u3_printed_formula_matches"] = rep.u3_matches_printed_formula
     report.results["pass"] = rep.all_zero()
     if not rep.all_zero():

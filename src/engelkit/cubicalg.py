@@ -21,6 +21,7 @@ __all__ = [
     "quadric_values",
     "irrep_rho",
     "rho_prime",
+    "gl2_basis",
     "legendrian_symplectic",
     "stabilizer_subalgebra",
     "SymplecticSolution",
@@ -83,7 +84,8 @@ def rho_prime(m: Sequence[Sequence[Fraction]]) -> Mat:
     return out
 
 
-def _gl2_basis() -> list[Mat]:
+def gl2_basis() -> list[Mat]:
+    """The images of the four elementary 2x2 matrices under rho_prime."""
     return [rho_prime([[1, 0], [0, 0]]), rho_prime([[0, 1], [0, 0]]),
             rho_prime([[0, 0], [1, 0]]), rho_prime([[0, 0], [0, 1]])]
 
@@ -179,14 +181,8 @@ def stabilizer_subalgebra() -> list[Mat]:
 def stabilizer_matches_representation() -> bool:
     """The stabilizer span coincides with the image of the 2x2 matrix algebra."""
     stab = [sum(m, []) for m in stabilizer_subalgebra()]
-    rep = [sum(m, []) for m in _gl2_basis()]
+    rep = [sum(m, []) for m in gl2_basis()]
     return linalg.span_equal(stab, rep)
-
-
-def commutator(a: Mat, b: Mat) -> Mat:
-    ab = linalg.mat_mul(a, b)
-    ba = linalg.mat_mul(b, a)
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
 
 
 def stabilizer_is_closed_under_commutator() -> bool:
@@ -194,6 +190,6 @@ def stabilizer_is_closed_under_commutator() -> bool:
     flat = [sum(m, []) for m in basis]
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if not linalg.in_span(flat, sum(commutator(basis[i], basis[j]), [])):
+            if not linalg.in_span(flat, sum(linalg.commutator(basis[i], basis[j]), [])):
                 return False
     return True

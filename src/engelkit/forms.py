@@ -496,14 +496,8 @@ def pullback(alpha: DifferentialForm, mapping: Mapping[str, Expr],
     """
     source = alpha.chart
     images = {name: mapping[name] for name in source.names}
-    differentials = {}
-    for name, image in images.items():
-        df = DifferentialForm.zero(target, 1)
-        for k in range(target.dim):
-            dk = target.derive(image, k)
-            if not dk.is_zero:
-                df = df + DifferentialForm.differential(target, k) * dk
-        differentials[name] = df
+    differentials = {name: DifferentialForm.scalar(target, image).d()
+                     for name, image in images.items()}
     subs_map = {name: images[name] for name in source.names}
     result = DifferentialForm.zero(target, alpha.degree)
     for idx, coeff in alpha.comps.items():

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 from .engel import J_coordinate, MarkedStructure
 from .forms import Chart, DifferentialForm, VectorField, pullback
-from .symexpr import Expr, Number, VarKind, symbol
+from .symexpr import Expr, ExprError, Number, VarKind, symbol
 
 __all__ = [
     "KerrFunction",
@@ -143,7 +143,7 @@ def _newton(g: Expr, dg: Expr, point: dict[str, Number], guess: float,
         try:
             val = float(g.evaluate(values))
             der = float(dg.evaluate(values))
-        except Exception as exc:
+        except (ExprError, OverflowError) as exc:
             raise KerrSolveError(f"evaluation failed near t = {tau}: {exc}") from exc
         if abs(val) < tol:
             return tau, val, iteration
@@ -187,6 +187,9 @@ def solve_kerr_numeric(F: KerrFunction | Expr, point: Mapping[str, Number],
     dg_dt = F_t.substitute(dict(zip(_Y_NAMES, ys)))
     for Fj, yj in zip(F_y, ys):
         dg_dt = dg_dt + Fj.substitute(dict(zip(_Y_NAMES, ys))) * yj.partial("t")
+    if dg_dt.is_zero:
+        raise ValueError("F composed with the base expressions is free of t; "
+                         "there is nothing to solve for")
 
     tau, f_res, iterations = _newton(g, dg_dt, dict(base_point), guess, tol)
 

@@ -42,6 +42,13 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     return out
 
 
+def commutator(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
+    """The matrix commutator ab - ba."""
+    ab = mat_mul(a, b)
+    ba = mat_mul(b, a)
+    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+
+
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
     return [_dot(row, v) for row in a]
 
@@ -219,7 +226,6 @@ def signature_symmetric(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, i
             if m[i][j] != m[j][i]:
                 raise ValueError("matrix is not symmetric")
     pos = neg = zero = 0
-    idx = list(range(n))
     k = 0
     while k < n:
         if m[k][k] == 0:
@@ -252,5 +258,4 @@ def signature_symmetric(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, i
                 for j in range(n):
                     m[j][i] -= f * m[j][k]
         k += 1
-    del idx
     return pos, neg, zero

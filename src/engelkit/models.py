@@ -71,19 +71,15 @@ class ConstantStructureSystem:
 
 
 def _add_triple(store: dict, triple: tuple[int, int, int], value: Fraction):
-    order = sorted(range(3), key=lambda n: triple[n])
-    idx = tuple(triple[n] for n in order)
+    idx = tuple(sorted(triple))
     if len(set(idx)) != 3:
         return
-    sign = 1
-    seen = [triple[n] for n in order]
     # parity of the sorting permutation
-    perm = [sorted(triple).index(x) for x in triple]
+    perm = [idx.index(x) for x in triple]
     inversions = sum(1 for i in range(3) for j in range(i + 1, 3)
                      if perm[i] > perm[j])
     sign = -1 if inversions % 2 else 1
     store[idx] = store.get(idx, F(0)) + sign * value
-    del order, seen
 
 
 def jacobi_check(system: ConstantStructureSystem) -> bool:
@@ -115,10 +111,6 @@ class IdentificationReport:
 
 
 def _center_dim(alg: LieAlgebraSC) -> int:
-    rows = []
-    for j in range(alg.dim):
-        ad = alg.ad(j)
-        rows.extend(linalg.transpose(ad))
     # x central iff ad(x) = 0 iff for all j, bracket(e_j, x) = 0
     stacked = []
     for j in range(alg.dim):

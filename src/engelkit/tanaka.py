@@ -186,9 +186,6 @@ class _Prolongation:
                 out = [x + c * y for x, y in zip(out, vec)]
         return out
 
-    def bracket_with_minus1(self, level: int, coords: Vec, x: Vec) -> Vec:
-        return self.apply(level, coords, -1, x)
-
     def compute_level(self, k: int) -> list[Vec]:
         """Nullspace of the derivation-compatibility constraints at degree k."""
         size = self.element_size(k)
@@ -256,6 +253,15 @@ class ProlongationTable:
     total_dimension: int
     prolongation: _Prolongation
 
+    @property
+    def terminated(self) -> bool:
+        """Whether a zero degree was reached, so that the total is final.
+
+        Otherwise ``max_degree`` cut the prolongation short and
+        ``total_dimension`` counts only the degrees computed.
+        """
+        return bool(self.degree_dims) and self.degree_dims[-1] == 0
+
     def __str__(self) -> str:
         degs = ", ".join(f"k={k + 1}: {d}" for k, d in enumerate(self.degree_dims))
         return (f"prolongation: 1 + 4 + {self.g0_dim} + "
@@ -290,9 +296,7 @@ def tanaka_prolong(g0_matrices: Sequence[Sequence[Sequence[Fraction]]],
         raise ValueError("g0 matrices are linearly dependent")
     for a in g0_matrices:
         for b in g0_matrices:
-            comm = [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(4))
-                     for j in range(4)] for i in range(4)]
-            comm_pair = extend_to_derivation(m, comm)
+            comm_pair = extend_to_derivation(m, linalg.commutator(a, b))
             if not linalg.in_span(flat, comm_pair.flat()):
                 raise ValueError("g0 is not closed under commutators")
 
@@ -637,9 +641,7 @@ def prolongation_matches_parabolic() -> bool:
         for b in gen_ids:
             if a >= b:
                 continue
-            Da, Db = _ad_on_minus1(alg, a), _ad_on_minus1(alg, b)
-            comm = [[sum(Da[i][k] * Db[k][j] - Db[i][k] * Da[k][j]
-                         for k in range(4)) for j in range(4)] for i in range(4)]
+            comm = linalg.commutator(_ad_on_minus1(alg, a), _ad_on_minus1(alg, b))
             want = grade0_coords(alg.bracket_basis(a, b))
             if want is None:
                 return False
@@ -661,9 +663,7 @@ def prolongation_matches_parabolic() -> bool:
             Mf = [[sum(c * _ad_on_minus1(alg, g)[r][s]
                        for c, g in zip(f_ej, gen_ids)) for s in range(4)]
                   for r in range(4)]
-            comm = [[sum(Da[i][k] * Mf[k][j2] - Mf[i][k] * Da[k][j2]
-                         for k in range(4)) for j2 in range(4)] for i in range(4)]
-            comm_coords = _grade0_coordinates(alg, gen_ids, comm)
+            comm_coords = _grade0_coordinates(alg, gen_ids, linalg.commutator(Da, Mf))
             if comm_coords is None:
                 return False
             column_j = list(comm_coords)
@@ -692,10 +692,3 @@ def prolongation_matches_parabolic() -> bool:
 def _grade0_coordinates(alg: LieAlgebraSC, gen_ids, matrix: Mat) -> Vec | None:
     rows = [[x for row in _ad_on_minus1(alg, g) for x in row] for g in gen_ids]
     return linalg.coordinates_in_basis(rows, [x for row in matrix for x in row])
-
-
-def _combine(basis: list[Vec], coords: Vec) -> Vec:
-    out = [Fraction(0)] * len(basis[0])
-    for c, vec in zip(coords, basis):
-        out = [x + c * y for x, y in zip(out, vec)]
-    return out

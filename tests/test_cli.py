@@ -40,6 +40,12 @@ class TestExitCodes:
         assert code == 2 and report.status == "input-error"
         assert report.results["error"]
 
+    def test_kerr_function_composing_free_of_t_is_input_error(self):
+        code, report = run(["kerr", "solve", "--F", "2",
+                            "--at", "x0=1,x1=3,x2=1,x3=1,x4=1"])
+        assert code == 2 and report.status == "input-error"
+        assert "free of t" in report.results["error"]
+
     def test_transversality_is_input_error(self):
         code, report = run(["kerr", "section", "--H", "y1",
                             "--at", "x0=1,x1=3,x2=1,x3=1,x4=1"])
@@ -67,6 +73,23 @@ class TestInvariantsCommand:
         assert report.results["branch"] == "non-constant"
 
 
+@pytest.mark.parametrize("command", ["invariants", "geometry"])
+def test_one_coframe_per_command(monkeypatch, command):
+    from engelkit.forms import CoframeChart
+
+    builds = []
+    build = CoframeChart.__init__
+
+    def counting_build(self, *args, **kwargs):
+        builds.append(command)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(CoframeChart, "__init__", counting_build)
+    code, _ = run([command, "--t", "x1*x4"])
+    assert code == 0
+    assert len(builds) == 1
+
+
 class TestKerrCommands:
     def test_verify_family(self):
         code, report = run(["kerr", "verify", "--F", "t - (2*y3 - y1)/y2",
@@ -76,6 +99,11 @@ class TestKerrCommands:
 
     def test_solve(self):
         code, report = run(["kerr", "solve", "--F", "y2*t - (2*y3 - y1)",
+                            "--at", "x0=1,x1=3,x2=1,x3=1,x4=1"])
+        assert code == 0
+        assert abs(report.results["t"] - 1.0) < 1e-12
+        # F need not mention t: the base expressions carry it (y2 = x2 - t^2 x4)
+        code, report = run(["kerr", "solve", "--F", "y2", "--guess", "0.5",
                             "--at", "x0=1,x1=3,x2=1,x3=1,x4=1"])
         assert code == 0
         assert abs(report.results["t"] - 1.0) < 1e-12
@@ -123,6 +151,11 @@ class TestVerificationCommands:
         assert code == 0
         assert report.results["degree_dims"] == [4, 1, 0]
         assert report.results["total_dimension"] == 14
+        assert "truncated" not in report.results
+        code, report = run(["tanaka", "prolong", "--g0", "gl2", "--max-degree", "1"])
+        assert code == 0
+        assert report.results["degree_dims"] == [4]
+        assert report.results["truncated"] is True
 
     def test_tanaka_cohomology_single(self):
         code, report = run(["tanaka", "cohomology", "--coefficients", "q",

@@ -69,6 +69,16 @@ class TestAdaptedCoframe:
             assert xi4.pair(acf.omega[i]).is_zero
         assert xi4.pair(acf.omega[4]) == integer(1)
 
+    def test_one_analysis_per_coframe(self):
+        acf = adapted_coframe(parse("x0 - 2*x3*x4"))
+        assert adapted_coframe(acf) is acf
+        assert acf.frame is acf.frame
+        jet = invariants_closed_form(acf)
+        assert invariants_closed_form(acf) is jet
+        fresh = invariants_closed_form(acf.t)
+        assert fresh is not jet
+        assert all(v == fresh.main_fields()[k] for k, v in jet.main_fields().items())
+
     def test_contact_condition(self):
         acf = adapted_coframe(parse("x1*x4"))
         w0 = acf.omega[0]

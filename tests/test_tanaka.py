@@ -53,6 +53,7 @@ class TestProlongation:
         table = tanaka_prolong(GL2)
         assert table.degree_dims == (4, 1, 0)
         assert table.total_dimension == 14
+        assert table.terminated
         # grading component dims 1, 4, 4, 4, 1 of the full algebra
         assert (1, 4, table.g0_dim) + table.degree_dims[:2] == (1, 4, 4, 4, 1)
 
@@ -74,6 +75,7 @@ class TestProlongation:
         mats = [[list(r) for r in d.matrix] for d in ders]
         table = tanaka_prolong(mats, max_degree=2)
         assert table.degree_dims == (weighted_dim(3), weighted_dim(4)) == (24, 46)
+        assert not table.terminated  # the contact algebra is infinite-dimensional
 
     def test_non_closed_input_rejected(self):
         pair = [rho_prime([[0, 1], [0, 0]]), rho_prime([[0, 0], [1, 0]])]

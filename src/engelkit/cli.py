@@ -518,6 +518,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> tuple[int, Report]:
+    code, report, _ = _execute(argv)
+    return code, report
+
+
+def _execute(argv: list[str]) -> tuple[int, Report, str]:
+    """Run one command; also return the report rendered for ``--format``."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -535,7 +541,7 @@ def run(argv: list[str]) -> tuple[int, Report]:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")
     code = {OK: 0, FAILED: 1, INPUT_ERROR: 2}[report.status]
-    return code, report
+    return code, report, text
 
 
 class _CliUsage(Exception):
@@ -547,20 +553,11 @@ class _CliUsage(Exception):
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        code, report = run(argv)
+        code, _, text = _execute(argv)
     except _CliUsage as usage:
         return 2 if usage.code else 0
-    print(report.to_json() if _wants_json(argv) else report.to_text())
+    print(text)
     return code
-
-
-def _wants_json(argv: list[str]) -> bool:
-    for i, arg in enumerate(argv):
-        if arg == "--format" and i + 1 < len(argv):
-            return argv[i + 1] == "json"
-        if arg.startswith("--format="):
-            return arg.split("=", 1)[1] == "json"
-    return False
 
 
 if __name__ == "__main__":

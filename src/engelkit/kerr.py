@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .engel import J_coordinate, MarkedStructure
+from .engel import J_coordinate, MarkedStructure, _d
 from .forms import Chart, DifferentialForm, VectorField, pullback
 from .symexpr import Expr, ExprError, Number, VarKind, symbol
 
@@ -179,6 +179,9 @@ def solve_kerr_numeric(F: KerrFunction | Expr, point: Mapping[str, Number],
     for i in range(5):
         if f"x{i}" not in base_point:
             raise ValueError(f"point must assign x{i}")
+    for var in F.F.occurring_vars():
+        if var.kind is VarKind.FREE and var.name not in base_point:
+            raise ValueError(f"point must assign the free parameter {var.name}")
     ys = y_of()
     g = _compose(F.F)
     F_t = F.F.partial("t")
@@ -223,10 +226,6 @@ def solve_kerr_numeric(F: KerrFunction | Expr, point: Mapping[str, Number],
 
 X6 = Chart(tuple(f"x{i}" for i in range(6)))
 Y6 = Chart(tuple(f"y{i}" for i in range(6)))
-
-
-def _d(chart: Chart, i: int) -> DifferentialForm:
-    return DifferentialForm.differential(chart, i)
 
 
 def _x_chart_forms() -> list[DifferentialForm]:

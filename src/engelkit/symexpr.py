@@ -21,6 +21,16 @@ The sparse polynomial arithmetic itself (including multivariate GCD for
 cancellation) is delegated to :mod:`sympy.polys`; this module owns the
 canonical-form contract, the variable-kind semantics, the grammar and the
 evaluation rules.
+
+Each value lives in the field over its own variables, sorted by name.  A
+binary operation first re-embeds both operands into the field over the
+merged variables, and restricting to the occurring variables (for hashing)
+is the reverse move.  Both move each monomial's exponents to cached integer
+positions and keep the numerator/denominator pair as it is, with no
+cancel: adding or dropping variables that occur nowhere leaves the pair
+coprime, and since both variable orders are sorted by name, one is a
+subsequence of the other, so the graded lexicographic leading term of the
+denominator, and with it the sign normalisation, does not change.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 from sympy import ZZ
@@ -177,7 +188,43 @@ def _field_for(names: tuple[str, ...]):
     return fld, dict(zip(names, gens))
 
 
+@lru_cache(maxsize=None)
+def _monomial_map(src: tuple[str, ...], dst: tuple[str, ...]):
+    """Map a monomial over ``src`` to one over ``dst``.
+
+    Position ``k`` of the result reads position ``src.index(dst[k])`` of the
+    source, or a padding 0 where ``src`` lacks ``dst[k]``; source positions
+    absent from ``dst`` are dropped.  Keyed by name tuples, so the cache
+    grows with the variable sets met, not with the values.
+    """
+    pick = tuple(src.index(name) if name in src else len(src) for name in dst)
+    if not pick:
+        return lambda mon: ()
+    get = itemgetter(*pick)
+    if len(pick) == 1:
+        return lambda mon: (get(mon + (0,)),)
+    return lambda mon: get(mon + (0,))
+
+
+def _reembed(elem, src: tuple[str, ...], dst: tuple[str, ...]):
+    """``elem`` over the names ``src``, rewritten over the names ``dst``.
+
+    Exact without a cancel: see the module docstring.  Every name of ``src``
+    missing from ``dst`` must have exponent 0 throughout.
+    """
+    fld, _ = _field_for(dst)
+    ring = fld.ring
+    move = _monomial_map(src, dst)
+    numer = ring.dtype({move(mon): c for mon, c in elem.numer.items()})
+    denom = ring.dtype({move(mon): c for mon, c in elem.denom.items()})
+    return fld.raw_new(numer, denom)
+
+
 def _merge_vars(a: tuple[Var, ...], b: tuple[Var, ...]) -> tuple[Var, ...]:
+    if a == b or not b:
+        return a
+    if not a:
+        return b
     byname: dict[str, Var] = {v.name: v for v in a}
     for v in b:
         prev = byname.get(v.name)
@@ -205,12 +252,14 @@ class Expr:
     @staticmethod
     def from_int(n: int) -> "Expr":
         fld, _ = _field_for(())
-        return Expr(fld.ground_new(n), ())
+        return Expr(fld.raw_new(fld.ring.ground_new(n)), ())
 
     @staticmethod
     def from_fraction(q: Fraction) -> "Expr":
         fld, _ = _field_for(())
-        return Expr(fld.ground_new(q.numerator) / fld.ground_new(q.denominator), ())
+        ring = fld.ring
+        return Expr(fld.raw_new(ring.ground_new(q.numerator),
+                                ring.ground_new(q.denominator)), ())
 
     @staticmethod
     def symbol(name: str, kind: VarKind | None = None) -> "Expr":
@@ -223,8 +272,8 @@ class Expr:
     def _in_field(self, variables: tuple[Var, ...]):
         if variables == self._vars:
             return self._elem
-        fld, _ = _field_for(tuple(v.name for v in variables))
-        return self._elem.set_field(fld)
+        return _reembed(self._elem, tuple(v.name for v in self._vars),
+                        tuple(v.name for v in variables))
 
     @staticmethod
     def _coerce(value: "Expr | Number") -> "Expr":
@@ -325,8 +374,8 @@ class Expr:
         occ = self.occurring_vars()
         if occ == self._vars:
             return self
-        fld, _ = _field_for(tuple(v.name for v in occ))
-        return Expr(self._elem.set_field(fld), occ)
+        return Expr(_reembed(self._elem, tuple(v.name for v in self._vars),
+                             tuple(v.name for v in occ)), occ)
 
     def _key(self):
         e = self._trim()

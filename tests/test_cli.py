@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from engelkit.cli import run
+from engelkit.cli import main, run
 from engelkit.symexpr import parse
 
 
@@ -45,6 +45,15 @@ class TestExitCodes:
                             "--at", "x0=1,x1=3,x2=1,x3=1,x4=1"])
         assert code == 2 and report.status == "input-error"
         assert "free of t" in report.results["error"]
+
+    def test_kerr_free_parameter_missing_from_point_is_input_error(self):
+        code, report = run(["kerr", "solve", "--F", "t - c",
+                            "--at", "x0=1,x1=3,x2=1,x3=1,x4=1"])
+        assert code == 2 and report.status == "input-error"
+        assert "free parameter c" in report.results["error"]
+        code, report = run(["kerr", "solve", "--F", "t - c",
+                            "--at", "x0=1,x1=3,x2=1,x3=1,x4=1,c=2"])
+        assert code == 0 and report.results["t"] == 2.0
 
     def test_transversality_is_input_error(self):
         code, report = run(["kerr", "section", "--H", "y1",
@@ -193,6 +202,15 @@ class TestReports:
         text = report.to_text()
         assert "growth: [2, 3, 5]" in text
         assert text.endswith("status: ok")
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "text"], ["--format", "json"],
+                                     ["--format=json"]])
+    def test_main_prints_the_rendered_report(self, fmt, capsys):
+        argv = ["growth", "--t", "x4", *fmt]
+        assert main(argv) == 0
+        _, report = run(argv)
+        expected = report.to_json() if "json" in "".join(fmt) else report.to_text()
+        assert capsys.readouterr().out == expected + "\n"
 
     def test_deterministic_output(self):
         _, rep1 = run(["invariants", "--t", "x0*x4 - x2^2"])

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from engelkit.engel import (
     BranchNotConstantError,
@@ -125,6 +127,37 @@ class TestClosedFormInvariants:
             acf = adapted_coframe(t)
             inv = invariants_closed_form(t)
             assert inv.J == -acf.frame[4].apply(acf.t)
+
+
+_quadratic_terms = st.lists(
+    st.tuples(st.sampled_from([-2, -1, 1, 2]), st.integers(0, 4),
+              st.none() | st.integers(0, 4)),
+    min_size=1, max_size=4)
+
+
+@st.composite
+def markings(draw):
+    """A polynomial marking of degree at most two, or a Kerr-family marking."""
+    if draw(st.booleans()):
+        s = draw(st.integers(-4, 4).filter(bool))
+        return parse(KERR_FAMILY).substitute({"s": s})
+    t = integer(draw(st.integers(-2, 2)))
+    for coeff, i, j in draw(_quadratic_terms):
+        term = coeff * symbol(f"x{i}")
+        t = t + (term if j is None else term * symbol(f"x{j}"))
+    return t
+
+
+@settings(max_examples=6, deadline=None)
+@given(markings(), st.sampled_from(["x0", "x3", "x4"]),
+       st.integers(-3, 3).filter(bool))
+def test_invariants_commute_with_translations(t, coordinate, shift):
+    # the adapted coframe only sees x1, x2 and t, so translating x0, x3 or x4
+    # in the marking translates every invariant alike
+    move = {coordinate: symbol(coordinate) + shift}
+    moved = invariants_closed_form(t.substitute(move)).main_fields()
+    for name, value in invariants_closed_form(t).main_fields().items():
+        assert moved[name] == value.substitute(move), name
 
 
 class TestJCoordinate:

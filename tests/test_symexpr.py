@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from engelkit.symexpr import (
     DivisionByZeroError,
@@ -16,9 +19,12 @@ from engelkit.symexpr import (
     UnassignedVariableError,
     VariableKindError,
     VarKind,
+    _field_for,
+    _merge_vars,
     diff,
     evaluate,
     integer,
+    make_var,
     parse,
     partial,
     rational,
@@ -234,3 +240,85 @@ def _random_expr(rng, names, depth=0):
     if op == "*":
         return a * b
     return a / (b * b + 1)  # strictly positive denominator
+
+
+# -- re-embedding between variable sets ----------------------------------------
+
+# coordinates, jets, group parameters and free parameters, mixed
+_EMBED_NAMES = ("c", "delta", "k", "s0", "s7", "t", "t_x0x2", "t_x1", "x0", "x3", "y2")
+
+
+@st.composite
+def rational_functions(draw):
+    """A canonical low-degree rational function over a random subset of names,
+    built in its own sympy field, so that only sympy does the arithmetic."""
+    names = tuple(sorted(draw(st.lists(st.sampled_from(_EMBED_NAMES),
+                                       unique=True, max_size=4))))
+    fld, gens = _field_for(names)
+
+    def poly(max_terms):
+        total = fld.zero
+        for _ in range(draw(st.integers(0, max_terms))):
+            term = fld(draw(st.integers(-3, 3)))
+            for gen in gens.values():
+                term *= gen ** draw(st.integers(0, 2))
+            total += term
+        return total
+
+    numer, denom = poly(3), poly(2)
+    return Expr(numer / denom if denom else numer, tuple(make_var(n) for n in names))
+
+
+def _set_field_in(e, variables):
+    """The element of ``e`` over ``variables`` by sympy's name-based
+    ``set_field``, which cancels again: the reference for re-embedding."""
+    if variables == e._vars:
+        return e._elem
+    return e._elem.set_field(_field_for(tuple(v.name for v in variables))[0])
+
+
+def _set_field_key(e):
+    occ = e.occurring_vars()
+    t = Expr(_set_field_in(e, occ), occ)
+    num = tuple(sorted((mon, int(c)) for mon, c in t._elem.numer.terms()))
+    den = tuple(sorted((mon, int(c)) for mon, c in t._elem.denom.terms()))
+    return (tuple(v.name for v in occ), num, den)
+
+
+def _exact(elem):
+    return elem.field, dict(elem.numer), dict(elem.denom)
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_functions(), rational_functions())
+@example(integer(0), parse("x0/(1 - s0)"))
+@example(rational(-3, 2), parse("c/(-t_x1 + y2)"))
+@example(parse("(x3 - k)/(-2*delta*x3 + t)"), integer(7))
+def test_reembedding_matches_set_field(a, b):
+    variables = _merge_vars(a._vars, b._vars)
+    for e in (a, b):
+        assert _exact(e._in_field(variables)) == _exact(_set_field_in(e, variables))
+    for op, apply in _OPS.items():
+        if op == "/" and b.is_zero:
+            continue
+        x, y = _set_field_in(a, variables), _set_field_in(b, variables)
+        reference = Expr(apply(x, y), variables)
+        result = apply(a, b)
+        assert str(result) == str(reference)
+        assert result._key() == _set_field_key(reference)
+        assert hash(result) == hash(_set_field_key(reference))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_functions(), rational_functions())
+def test_trim_is_idempotent(a, b):
+    trimmed = a._trim()
+    assert trimmed._trim() is trimmed
+    assert _exact(trimmed._elem) == _exact(_set_field_in(a, a.occurring_vars()))
+    variables = _merge_vars(a._vars, b._vars)
+    padded = Expr(a._in_field(variables), variables)
+    assert padded._trim()._key() == trimmed._key()
+    assert str(padded) == str(a)

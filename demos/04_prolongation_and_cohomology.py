@@ -7,7 +7,7 @@ computation shows the curvature space has no invariant complement to the
 image of the differential -- no normalization condition exists.
 """
 
-from engelkit.cubicalg import rho_prime
+from engelkit.cubicalg import gl2_basis
 from engelkit.tanaka import (
     cohomology_dim,
     graded_derivations,
@@ -17,8 +17,7 @@ from engelkit.tanaka import (
     tanaka_prolong,
 )
 
-gl2 = [rho_prime([[1, 0], [0, 0]]), rho_prime([[0, 1], [0, 0]]),
-       rho_prime([[0, 0], [1, 0]]), rho_prime([[0, 0], [0, 1]])]
+gl2 = gl2_basis()
 borel = [gl2[0], gl2[1], gl2[3]]
 
 print("irreducible grade-0 part:", tanaka_prolong(gl2))

@@ -23,6 +23,7 @@ Exit codes: 0 ok, 1 verification failed, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -444,7 +445,9 @@ class _InputError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``parse_args`` can be reused."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", help="write the report to a file")
@@ -522,11 +525,28 @@ def run(argv: list[str]) -> tuple[int, Report]:
     return code, report
 
 
+# options whose value is an expression, which may start with a minus sign
+_EXPRESSION_OPTIONS = ("--t", "--F", "--H")
+
+
+def _join_expression_values(argv: list[str]) -> list[str]:
+    """``--t -x3^2`` as ``--t=-x3^2``: argparse reads a separate value that
+    starts with ``-`` as an option.  A value starting with ``--`` is left
+    alone, so a missing value still reads as a usage error."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] in _EXPRESSION_OPTIONS
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _execute(argv: list[str]) -> tuple[int, Report, str]:
     """Run one command; also return the report rendered for ``--format``."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(_join_expression_values(argv))
     except SystemExit as exc:
         raise _CliUsage(int(exc.code or 0)) from exc
     name = args.command + (f" {args.subcommand}" if hasattr(args, "subcommand") else "")

@@ -17,10 +17,49 @@ Variables carry a *kind* that controls differentiation:
 * free parameters -- any other identifier; transcendental constants with
   derivative zero.
 
-The sparse polynomial arithmetic itself (including multivariate GCD for
-cancellation) is delegated to :mod:`sympy.polys`; this module owns the
-canonical-form contract, the variable-kind semantics, the grammar and the
-evaluation rules.
+The sparse polynomial arithmetic itself (including multivariate GCD) is
+delegated to :mod:`sympy.polys`; this module owns the canonical-form
+contract, the variable-kind semantics, the grammar and the evaluation
+rules.
+
+The field operations cancel on cofactors, not on the full product that
+sympy's ``FracElement`` arithmetic cancels with one GCD (Henrici's rules,
+Knuth, TAOCP vol. 2, 4.5.1).  The canonical pair is unique: a coprime
+pair is determined up to a sign, and the sign is fixed by making the
+denominator's grlex leading coefficient positive, as ``cancel`` does.  So
+each rule below only has to return *some* coprime pair, and each is
+coprime for the reason given, for inputs ``n1/d1``, ``n2/d2``, ``n/d``
+that are coprime themselves:
+
+1. Product: with ``g1 = gcd(n1, d2)`` and ``g2 = gcd(n2, d1)``, the pair
+   ``(n1/g1 * n2/g2, d1/g2 * d2/g1)`` is coprime, since every factor on
+   one side is coprime to every factor on the other.  No GCD is taken
+   against a denominator 1.  The quotient is the product with ``n2/d2``
+   turned over.
+2. Sum: against a polynomial, ``(n1 + n2*d1, d1)`` is coprime, since a
+   common factor of it and ``d1`` would divide ``n1``.  Otherwise, with
+   ``g = gcd(d1, d2)`` (``g = d1`` when ``d1 == d2``) and
+   ``t = n1*(d2/g) + n2*(d1/g)``, ``t`` is coprime to ``d1/g`` and to
+   ``d2/g`` (each divides one summand and is coprime to the other), so any
+   common factor of ``t`` and the lcm ``(d1/g)*(d2/g)*g`` divides ``g``:
+   only ``gcd(t, g)`` is taken, and none when ``g`` is a unit.
+3. Partial derivative by ``x`` (reduced quotient rule): with
+   ``h = gcd(d, d_x)``, the result is ``N/D`` for
+   ``N = n_x*(d/h) - n*(d_x/h)`` and ``D = d*(d/h)``.  An irreducible
+   ``p`` that involves ``x`` with ``p^k || d`` has ``p^(k-1) || d_x``, so
+   ``p || d/h`` and ``N = -n*(d_x/h)`` modulo ``p``, which is nonzero.
+   Only the ``x``-free factors of ``d`` (with its integer content) can
+   cancel, and they divide ``h`` fully, so ``gcd(N, D) = gcd(N, d)``.  When
+   some coefficient of ``d`` as a polynomial in ``x`` is an integer, the
+   ``x``-free part of ``d`` divides it, and the GCD is one of integers.
+   When ``d`` is free of ``x``, the result is ``n_x/d`` after one GCD.
+4. Coprimality test before every GCD: if some coefficient of ``f``, as a
+   polynomial in the variables that ``g`` lacks, is an integer, then
+   ``gcd(f, g)``, which involves only variables of ``g`` and divides every
+   such coefficient, divides that integer; it is the GCD of the integer
+   contents.  Disjoint supports are the special case where every
+   coefficient is an integer.  A GCD with a monomial needs no test: sympy
+   takes it in one pass over the other operand.
 
 Each value lives in the field over its own variables, sorted by name.  A
 binary operation first re-embeds both operands into the field over the
@@ -238,6 +277,125 @@ def _merge_vars(a: tuple[Var, ...], b: tuple[Var, ...]) -> tuple[Var, ...]:
     return tuple(sorted(byname.values(), key=lambda v: v.name))
 
 
+# -- canonical pairs: cancellation on cofactors -------------------------------
+#
+# The helpers below take and return (numerator, denominator) pairs of
+# polynomials in one ring; see the module docstring for why each result is
+# the canonical pair.
+
+
+def _normal(numer, denom):
+    """The pair with the denominator's leading coefficient made positive."""
+    if denom.LC < 0:
+        return -numer, -denom
+    return numer, denom
+
+
+def _occurs(poly) -> tuple[bool, ...]:
+    """For each variable position, whether it occurs in the nonzero ``poly``."""
+    return tuple(map(any, zip(*poly.itermonoms())))
+
+
+def _has_integer_coefficient(poly, free) -> bool:
+    """Whether some coefficient of ``poly``, as a polynomial in the variables
+    at the positions where ``free`` is true, is an integer: whether some
+    monomial in those variables alone is the ``free`` part of no other."""
+    alone, shared = set(), set()
+    for mon in poly.itermonoms():
+        part = tuple([e if f else 0 for e, f in zip(mon, free)])
+        (alone if part == mon else shared).add(part)
+    return not alone <= shared
+
+
+def _content_cofactors(f, g):
+    """``_cofactors`` when ``gcd(f, g)`` is known to be an integer."""
+    c = f.content()
+    if c != 1:
+        c = ZZ.gcd(c, g.content())
+    if c == 1:
+        return f.ring.one, f, g
+    return f.ring.ground_new(c), f.quo_ground(c), g.quo_ground(c)
+
+
+def _cofactors(f, g):
+    """``(h, f/h, g/h)`` for ``h = gcd(f, g)`` and nonzero ``f``, ``g``.
+
+    Exact coprimality test first: if some coefficient of ``f``, as a
+    polynomial in the variables that ``g`` lacks, is an integer (or the same
+    with ``f`` and ``g`` swapped), then ``h`` divides that integer, so ``h``
+    is the GCD of the integer contents and no polynomial GCD is taken.  A
+    monomial needs no test: sympy takes its GCD in one pass.
+    """
+    if len(f) == 1 or len(g) == 1:
+        return f.cofactors(g)  # sympy's one-pass rule for a monomial
+    in_f, in_g = _occurs(f), _occurs(g)
+    if (_has_integer_coefficient(f, [a and not b for a, b in zip(in_f, in_g)])
+            or _has_integer_coefficient(g, [b and not a for a, b in zip(in_f, in_g)])):
+        return _content_cofactors(f, g)
+    return f.cofactors(g)
+
+
+def _product(n1, d1, n2, d2):
+    """``n1/d1 * n2/d2`` (Henrici): cancel across, then multiply."""
+    if not n1 or not n2:
+        return n1.ring.zero, n1.ring.one
+    if d1.is_one and d2.is_one:
+        return n1 * n2, d1
+    if not d2.is_one:
+        _, n1, d2 = _cofactors(n1, d2)
+    if not d1.is_one:
+        _, n2, d1 = _cofactors(n2, d1)
+    return _normal(n1 * n2, d1 * d2)
+
+
+def _sum(n1, d1, n2, d2):
+    """``n1/d1 + n2/d2`` (Henrici): only ``gcd(d1, d2)`` can cancel."""
+    if not n2:
+        return n1, d1
+    if not n1:
+        return n2, d2
+    if d1 == d2:
+        t = n1 + n2
+        if not t:
+            return t, t.ring.one
+        if d1.is_one:
+            return t, d1
+        _, t, d = _cofactors(t, d1)
+        return _normal(t, d)
+    if d2.is_one:
+        return n1 + n2 * d1, d1
+    if d1.is_one:
+        return n1 * d2 + n2, d2
+    # t is nonzero: a zero sum of canonical pairs has d1 == d2
+    g, d1g, d2g = _cofactors(d1, d2)
+    t = n1 * d2g + n2 * d1g
+    if g != 1 and g != -1:
+        _, t, g = _cofactors(t, g)
+    return _normal(t, d1g * d2g * g)
+
+
+def _partial(numer, denom, i: int):
+    """``d(numer/denom)/dx`` for ``x`` at position ``i``, by the reduced
+    quotient rule: only ``x``-free factors of ``denom`` can cancel."""
+    ring = numer.ring
+    nx = numer.diff(ring.gens[i])
+    dx = denom.diff(ring.gens[i])
+    if not dx:
+        if not nx:
+            return nx, ring.one
+        if denom.is_one:
+            return nx, denom
+        _, nx, denom = _cofactors(nx, denom)
+        return _normal(nx, denom)
+    _, dh, dxh = _cofactors(denom, dx)
+    top = nx * dh - numer * dxh
+    if _has_integer_coefficient(denom, [k == i for k in range(ring.ngens)]):
+        _, top, denom = _content_cofactors(top, denom)
+    else:
+        _, top, denom = _cofactors(top, denom)
+    return _normal(top, denom * dh)
+
+
 class Expr:
     """Canonical multivariate rational function with exact integer coefficients."""
 
@@ -293,16 +451,18 @@ class Expr:
         a = self._in_field(variables)
         b = other._in_field(variables)
         if op == "+":
-            return Expr(a + b, variables)
-        if op == "-":
-            return Expr(a - b, variables)
-        if op == "*":
-            return Expr(a * b, variables)
-        if op == "/":
+            pair = _sum(a.numer, a.denom, b.numer, b.denom)
+        elif op == "-":
+            pair = _sum(a.numer, a.denom, -b.numer, b.denom)
+        elif op == "*":
+            pair = _product(a.numer, a.denom, b.numer, b.denom)
+        elif op == "/":
             if not b:
                 raise DivisionByZeroError("division by the zero expression")
-            return Expr(a / b, variables)
-        raise AssertionError(op)
+            pair = _product(a.numer, a.denom, b.denom, b.numer)
+        else:
+            raise AssertionError(op)
+        return Expr(a.field.raw_new(*pair), variables)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -336,7 +496,10 @@ class Expr:
             raise ExprError("exponents must be integers")
         if exponent < 0 and self.is_zero:
             raise DivisionByZeroError("negative power of the zero expression")
-        return Expr(self._elem ** exponent, self._vars)
+        elem = self._elem ** exponent
+        if exponent < 0:  # sympy swaps the pair without fixing the sign
+            elem = elem.field.raw_new(*_normal(elem.numer, elem.denom))
+        return Expr(elem, self._vars)
 
     # -- predicates and queries --------------------------------------------
 
@@ -403,7 +566,9 @@ class Expr:
         name = _canonicalize_name(name)
         for i, var in enumerate(self._vars):
             if var.name == name:
-                return Expr(self._elem.diff(self._elem.field.gens[i]), self._vars)
+                elem = self._elem
+                return Expr(elem.field.raw_new(*_partial(elem.numer, elem.denom, i)),
+                            self._vars)
         return Expr.from_int(0)
 
     def diff(self, name: str) -> "Expr":

@@ -148,8 +148,7 @@ def test_criterion_08_flat_reduction():
 
 def test_criterion_09_tanaka():
     started = time.time()
-    gl2 = [cubicalg.rho_prime([[1, 0], [0, 0]]), cubicalg.rho_prime([[0, 1], [0, 0]]),
-           cubicalg.rho_prime([[0, 0], [1, 0]]), cubicalg.rho_prime([[0, 0], [0, 1]])]
+    gl2 = cubicalg.gl2_basis()
     table = tanaka.tanaka_prolong(gl2)
     assert table.degree_dims == (4, 1, 0) and table.total_dimension == 14
     borel = [gl2[0], gl2[1], gl2[3]]

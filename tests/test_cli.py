@@ -61,6 +61,29 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestExpressionOptions:
+    """An expression value may start with a minus sign without ``=``."""
+
+    def test_marking_starting_with_minus(self):
+        spaced = run(["geometry", "--t", "-x3^2", "--format", "json"])
+        joined = run(["geometry", "--t=-x3^2", "--format", "json"])
+        assert spaced[0] == joined[0] == 0
+        assert spaced[1].to_json() == joined[1].to_json()
+
+    def test_kerr_function_starting_with_minus(self):
+        argv = ["kerr", "verify", "--t", "(x1 - 2*x3)/(-x2 + 2*x4)"]
+        spaced = run([*argv, "--F", "-y2 + t", "--format", "json"])
+        joined = run([*argv, "--F=-y2 + t", "--format", "json"])
+        assert spaced[0] == joined[0]
+        assert spaced[1].to_json() == joined[1].to_json()
+        assert spaced[1].inputs["F"] == "-y2 + t"
+
+    def test_missing_value_is_still_a_usage_error(self, capsys):
+        assert main(["geometry", "--t", "--format", "json"]) == 2
+        assert main(["geometry", "--bogus"]) == 2
+        assert main(["geometry", "--t", "x4"]) == 0
+
+
 class TestInvariantsCommand:
     def test_flat_marking(self):
         code, report = run(["invariants", "--t", "0"])

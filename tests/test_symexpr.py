@@ -19,6 +19,7 @@ from engelkit.symexpr import (
     UnassignedVariableError,
     VariableKindError,
     VarKind,
+    _cofactors,
     _field_for,
     _merge_vars,
     diff,
@@ -128,6 +129,12 @@ class TestArith:
         e = sym("x1") / (-sym("x2") + sym("s") * sym("x4"))
         den_text = str(e.denominator())
         assert not den_text.startswith("-")
+
+    def test_negative_power_keeps_the_denominator_sign(self):
+        e = parse("(-x1)^-1")
+        assert str(e) == str(-1 / sym("x1")) == "(-1)/x1"
+        assert e._key() == (-1 / sym("x1"))._key()
+        assert hash(e) == hash(-1 / sym("x1"))
 
     def test_kind_conflict_detected(self):
         a = symbol("w", VarKind.FREE)
@@ -322,3 +329,106 @@ def test_trim_is_idempotent(a, b):
     padded = Expr(a._in_field(variables), variables)
     assert padded._trim()._key() == trimmed._key()
     assert str(padded) == str(a)
+
+
+# -- cancellation on cofactors against sympy's field operations ----------------
+
+_ARITH_NAMES = ("c", "t", "x1", "x2", "x3", "x4")
+_ARITH_VARS = tuple(make_var(n) for n in _ARITH_NAMES)
+_ARITH_FIELD, _ARITH_GENS = _field_for(_ARITH_NAMES)
+# irreducibles shared between denominators, as on the Kerr markings
+_SHARED_FACTORS = (
+    lambda g: 3 * g["x2"] - 11 * g["x4"],
+    lambda g: g["x1"] - 2 * g["x3"],
+    lambda g: g["x3"] + 1,
+    lambda g: g["c"] * g["x2"] + 1,
+    lambda g: 2 * g["t"] - g["x4"],
+)
+
+
+@st.composite
+def shared_factor_functions(draw):
+    """A canonical n/d over one field, built by sympy's own arithmetic: d is
+    a product of powers of shared irreducibles, an integer of either sign
+    and sometimes a random polynomial; n is a polynomial, sometimes with a
+    shared factor.  A quarter of the draws are polynomials."""
+    gens = _ARITH_GENS
+
+    def poly(max_terms):
+        total = _ARITH_FIELD.zero
+        for _ in range(draw(st.integers(0, max_terms))):
+            term = _ARITH_FIELD(draw(st.integers(-3, 3)))
+            for name in draw(st.lists(st.sampled_from(_ARITH_NAMES), max_size=3)):
+                term *= gens[name]
+            total += term
+        return total
+
+    factors = st.sampled_from(_SHARED_FACTORS)
+    numer = poly(3)
+    if draw(st.booleans()):
+        numer *= draw(factors)(gens)
+    if draw(st.integers(0, 3)) == 0:
+        return Expr(numer, _ARITH_VARS)
+    denom = _ARITH_FIELD(draw(st.sampled_from([1, -1, 2, -6])))
+    for factor in draw(st.lists(factors, max_size=3)):
+        denom *= factor(gens) ** draw(st.integers(1, 3))
+    if draw(st.integers(0, 3)) == 0:
+        denom *= poly(2) or 1
+    return Expr(numer / denom, _ARITH_VARS)
+
+
+def _assert_same(result, reference):
+    assert str(result) == str(reference)
+    assert result._key() == reference._key()
+    assert _exact(result._elem) == _exact(reference._elem)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_factor_functions(), shared_factor_functions())
+@example(parse("(x1*x2 + 1)/x2"), integer(3))
+@example(parse("x1/(3*x2 - 11*x4)^2"), parse("(3*x2 - 11*x4)/(x1 - 2*x3)"))
+@example(parse("1/(-2*x3 - 2)"), parse("x3/(x3 + 1)^2"))
+@example(parse("1/(x1*x3 + x1)"), parse("-1/((x3 + 1)*(x1 + x3 + 1))"))  # x3 + 1 cancels
+def test_cofactor_arithmetic_matches_sympy(a, b):
+    a, b = (Expr(e._in_field(_ARITH_VARS), _ARITH_VARS) for e in (a, b))
+    for op, apply in _OPS.items():
+        if op == "/" and b.is_zero:
+            continue
+        _assert_same(apply(a, b), Expr(apply(a._elem, b._elem), _ARITH_VARS))
+    for name, gen in _ARITH_GENS.items():
+        _assert_same(a.partial(name), Expr(a._elem.diff(gen), _ARITH_VARS))
+
+
+class TestCofactorRules:
+    def _polys(self, *texts):
+        return [parse(text)._in_field(_ARITH_VARS).numer for text in texts]
+
+    def test_coprimality_test_answers_without_a_polynomial_gcd(self, monkeypatch):
+        f, g = self._polys("2*x1*x2 + 4", "6*x2 - 4*x4")
+        monkeypatch.setattr(type(f), "cofactors", None)  # must not be reached
+        h, cf, cg = _cofactors(f, g)
+        assert h == 2 and cf * 2 == f and cg * 2 == g
+        f, g = self._polys("x1 + 1", "x3 - 2")  # disjoint supports
+        assert _cofactors(f, g) == (1, f, g)
+
+    def test_coprimality_test_falls_back_to_the_gcd(self):
+        # in x1, x1*x2 + x2 has coefficients x2, x2; in x4, x2*x4 - 3*x2
+        # has x2, -3*x2: no integer coefficient, so the GCD x2 is found
+        f, g = self._polys("x1*x2 + x2", "x2*x4 - 3*x2")
+        h, cf, cg = _cofactors(f, g)
+        x1p1, x4m3, x2 = self._polys("x1 + 1", "x4 - 3", "x2")
+        assert {h, -h} == {x2, -x2} and h * cf == f and h * cg == g
+        assert {cf, -cf} == {x1p1, -x1p1} and {cg, -cg} == {x4m3, -x4m3}
+
+    @pytest.mark.parametrize("text, name, expected", [
+        ("(x1*x2 + 1)/x2", "x1", "1"),                  # denominator free of x1
+        ("x1/(x1*x2 + x2)", "x1", "1/(x1^2*x2 + 2*x1*x2 + x2)"),  # x2 in gcd(d, d_x)
+        ("(x1*x2 + x1 + 1)/(x1*x2 + x2)", "x1", "1/(x1^2 + 2*x1 + 1)"),  # x2 cancels
+        ("(3*x1 + 1)/(2*x1 + 2)", "x1", "1/(x1^2 + 2*x1 + 1)"),  # content 2 cancels
+        ("x1/(3*x2 - 11*x4)^2", "x2", "(-6*x1)/(27*x2^3 - 297*x2^2*x4 "
+                                      "+ 1089*x2*x4^2 - 1331*x4^3)"),
+    ])
+    def test_partial_cancels_only_x_free_factors(self, text, name, expected):
+        e = parse(text)
+        assert str(e.partial(name)) == expected
+        assert e.partial(name)._key() == parse(expected)._key()

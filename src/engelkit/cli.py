@@ -12,6 +12,7 @@ Commands
     g2 verify                    matrix model: closure, 14 equations, Jacobi
     tanaka prolong [--g0 NAME] [--max-degree K]
     tanaka cohomology            the standard dimension battery
+    tanaka cohomology --degree Q [--coefficients g|q] [--homogeneity L]
     tanaka normalization         the no-invariant-complement obstruction
     models check                 catalogue closure and identification
     reduction verify-flat        the nine flat structure-bundle equations
@@ -315,6 +316,8 @@ def _g0_matrices(name: str):
 
 def _cmd_tanaka_prolong(args, report: Report) -> None:
     report.inputs["g0"] = args.g0
+    if args.max_degree < 0:
+        raise _InputError(f"--max-degree must be at least 0, got {args.max_degree}")
     table = tanaka.tanaka_prolong(_g0_matrices(args.g0), max_degree=args.max_degree)
     report.results["g0_dimension"] = table.g0_dim
     report.results["degree_dims"] = list(table.degree_dims)
@@ -329,9 +332,16 @@ def _cmd_tanaka_prolong(args, report: Report) -> None:
 
 def _cmd_tanaka_cohomology(args, report: Report) -> None:
     if args.degree is not None:
-        dim = tanaka.cohomology_dim(args.coefficients, args.degree, args.homogeneity)
+        coefficients = "g" if args.coefficients is None else args.coefficients
+        homogeneity = 1 if args.homogeneity is None else args.homogeneity
+        dim = tanaka.cohomology_dim(coefficients, args.degree, homogeneity)
         report.results["dimension"] = dim
         return
+    for option, value in (("--coefficients", args.coefficients),
+                          ("--homogeneity", args.homogeneity)):
+        if value is not None:
+            raise _InputError(f"{option} needs --degree; without it the "
+                              "fixed battery runs")
     battery = {
         "H1_full_l1..l4": [tanaka.cohomology_dim("g", 1, l) for l in (1, 2, 3, 4)],
         "H2_full_hom1": tanaka.cohomology_dim("g", 2, 1),
@@ -427,7 +437,7 @@ def _cmd_cubic(args, report: Report) -> None:
     report.results["symplectic_relation"] = relation
     report.results["stabilizer_dimension"] = len(stab)
     report.results["stabilizer_matches_representation"] = \
-        cubicalg.stabilizer_matches_representation()
+        cubicalg.stabilizer_matches_representation(stab)
     ok = (hom_ok and equiv_ok and symp.dimension == 1 and relation
           and len(stab) == 4
           and report.results["stabilizer_matches_representation"])
@@ -501,9 +511,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g0", choices=_G0_CHOICES, default="gl2")
     p.add_argument("--max-degree", type=int, default=3)
     p = add(tk_sub, "cohomology", _cmd_tanaka_cohomology)
-    p.add_argument("--coefficients", choices=("g", "q"), default="g")
+    # None tells a given option from the default, 'g' and 1 with --degree
+    p.add_argument("--coefficients", choices=("g", "q"))
     p.add_argument("--degree", type=int)
-    p.add_argument("--homogeneity", type=int, default=1)
+    p.add_argument("--homogeneity", type=int)
     add(tk_sub, "normalization", _cmd_tanaka_normalization)
 
     mp = sub.add_parser("models")

@@ -178,9 +178,10 @@ def stabilizer_subalgebra() -> list[Mat]:
     return [[vec[4 * i: 4 * i + 4] for i in range(4)] for vec in basis_vectors]
 
 
-def stabilizer_matches_representation() -> bool:
-    """The stabilizer span coincides with the image of the 2x2 matrix algebra."""
-    stab = [sum(m, []) for m in stabilizer_subalgebra()]
+def stabilizer_matches_representation(stabilizer: Sequence[Mat]) -> bool:
+    """The span of ``stabilizer``, the basis that :func:`stabilizer_subalgebra`
+    returns, coincides with the image of the 2x2 matrix algebra."""
+    stab = [sum(m, []) for m in stabilizer]
     rep = [sum(m, []) for m in gl2_basis()]
     return linalg.span_equal(stab, rep)
 

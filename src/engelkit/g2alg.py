@@ -154,14 +154,14 @@ class LieAlgebraSC:
 
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
         out = [Fraction(0)] * self.dim
-        for i in range(self.dim):
-            if u[i] == 0:
+        v_support = [(j, y) for j, y in enumerate(v) if y]
+        for i, x in enumerate(u):
+            if not x:
                 continue
-            for j in range(self.dim):
-                if v[j] == 0:
-                    continue
+            for j, y in v_support:
+                xy = x * y
                 for k, c in self.bracket_basis(i, j).items():
-                    out[k] += u[i] * v[j] * c
+                    out[k] += xy * c
         return out
 
     def ad(self, i: int) -> list[list[Fraction]]:
@@ -172,25 +172,37 @@ class LieAlgebraSC:
         return m
 
     def killing_form(self) -> list[list[Fraction]]:
-        ads = [self.ad(i) for i in range(self.dim)]
-        kappa = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                prod = linalg.mat_mul(ads[i], ads[j])
-                tr = sum(prod[k][k] for k in range(self.dim))
-                kappa[i][j] = kappa[j][i] = tr
+        """The Killing form, contracted from the structure constants.
+
+        kappa_ij = tr(ad E_i ad E_j)
+                 = sum_l sum_{k in supp [E_i, E_l]} c^k_il c^l_jk,
+
+        read from the sparse brackets, with no ``ad`` matrix built.
+        """
+        n = self.dim
+        table = [[self.bracket_basis(i, l) for l in range(n)] for i in range(n)]
+        kappa = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                total = Fraction(0)
+                for l in range(n):
+                    for k, c in table[i][l].items():
+                        d = table[j][k].get(l)
+                        if d:
+                            total += c * d
+                kappa[i][j] = kappa[j][i] = total
         return kappa
 
     def jacobi_violations(self) -> list[tuple[int, int, int]]:
         bad = []
-        basis = linalg.identity(self.dim)
         for i, j, k in combinations(range(self.dim), 3):
-            total = self.bracket(basis[i], self.bracket(basis[j], basis[k]))
-            total = [x + y for x, y in zip(
-                total, self.bracket(basis[j], self.bracket(basis[k], basis[i])))]
-            total = [x + y for x, y in zip(
-                total, self.bracket(basis[k], self.bracket(basis[i], basis[j])))]
-            if any(x != 0 for x in total):
+            # [E_a, [E_b, E_c]] summed over the cyclic permutations
+            total: dict[int, Fraction] = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for l, x in self.bracket_basis(b, c).items():
+                    for m, y in self.bracket_basis(a, l).items():
+                        total[m] = total.get(m, 0) + x * y
+            if any(total.values()):
                 bad.append((i, j, k))
         return bad
 

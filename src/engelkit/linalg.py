@@ -1,8 +1,20 @@
-"""Exact dense linear algebra over any field-like scalar type.
+"""Exact linear algebra over any field-like scalar type.
 
 Works for both :class:`fractions.Fraction` and :class:`engelkit.symexpr.Expr`
 entries (the latter giving generic-point results over the rational-function
 field).  Matrices are plain lists of lists; all routines are pure.
+
+The matrices met here are mostly zeros, so every routine does its
+arithmetic on nonzero entries only: products and dot products skip a
+term with a zero factor, and Gauss-Jordan elimination divides and
+subtracts the pivot row on its nonzero support only.  A skipped step
+would have added ``0`` or subtracted ``f*0``, so every result is the
+same value as that of the dense computation; ``Fraction`` results are
+equal, and ``Expr`` results have the same canonical pair (an entry that
+no step touches keeps the type it came in with, which matters only when
+``Fraction`` and ``Expr`` entries are mixed).  Zero is
+tested by truthiness: ``Fraction`` and ``int`` are falsy exactly at 0,
+and ``Expr.__bool__`` is ``not is_zero``.
 """
 
 from __future__ import annotations
@@ -11,13 +23,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 Matrix = list[list]
-
-
-def _is_zero(value) -> bool:
-    zero = getattr(value, "is_zero", None)
-    if zero is not None:
-        return zero
-    return value == 0
 
 
 def copy_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -29,15 +34,20 @@ def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
+    if not a:
+        return []
+    b_support = [[(j, y) for j, y in enumerate(b_row) if y] for b_row in b]
+    product = a[0][0] * b[0][0]
+    zero = product - product
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for l in range(1, k):
-                acc = acc + a[i][l] * b[l][j]
-            row.append(acc)
+    for a_row in a:
+        row = [zero] * len(b[0])
+        for x, support in zip(a_row, b_support):
+            if not x:
+                continue
+            for j, y in support:
+                acc = row[j]
+                row[j] = acc + x * y if acc else x * y
         out.append(row)
     return out
 
@@ -54,10 +64,12 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
 
 
 def _dot(row: Sequence, v: Sequence):
-    acc = row[0] * v[0]
-    for x, y in zip(row[1:], v[1:]):
-        acc = acc + x * y
-    return acc
+    acc = None
+    for x, y in zip(row, v):
+        if x and y:
+            acc = x * y if acc is None else acc + x * y
+    # with no nonzero term, row[0] * v[0] is a zero of the product's type
+    return row[0] * v[0] if acc is None else acc
 
 
 def transpose(rows: Sequence[Sequence]) -> Matrix:
@@ -75,18 +87,24 @@ def row_echelon(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     for c in range(n_cols):
         pivot_row = None
         for i in range(r, n_rows):
-            if not _is_zero(m[i][c]):
+            if m[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
+        pivot = m[r]
+        inv = pivot[c]
+        # columns before c are zero in every row from r on
+        support = [j for j in range(c, n_cols) if pivot[j]]
+        for j in support:
+            pivot[j] = pivot[j] / inv
         for i in range(n_rows):
-            if i != r and not _is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            row = m[i]
+            f = row[c]
+            if i != r and f:
+                for j in support:
+                    row[j] = row[j] - f * pivot[j]
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -162,7 +180,7 @@ def det(rows: Sequence[Sequence]):
     for c in range(n):
         pivot_row = None
         for i in range(c, n):
-            if not _is_zero(m[i][c]):
+            if m[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -170,18 +188,23 @@ def det(rows: Sequence[Sequence]):
         if pivot_row != c:
             m[c], m[pivot_row] = m[pivot_row], m[c]
             result = -result
-        result = result * m[c][c]
-        inv = m[c][c]
+        pivot = m[c]
+        inv = pivot[c]
+        result = result * inv
+        # rows below c are left unreduced in column c: no later step reads it
+        support = [j for j in range(c + 1, n) if pivot[j]]
         for i in range(c + 1, n):
-            if not _is_zero(m[i][c]):
-                f = m[i][c] / inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+            row = m[i]
+            if row[c]:
+                f = row[c] / inv
+                for j in support:
+                    row[j] = row[j] - f * pivot[j]
     return result
 
 
 def in_span(basis_rows: Sequence[Sequence], vector: Sequence) -> bool:
     if not basis_rows:
-        return all(_is_zero(x) for x in vector)
+        return not any(vector)
     return rank(list(basis_rows) + [list(vector)]) == rank(basis_rows)
 
 
@@ -206,9 +229,11 @@ def intersect(rows_a: Sequence[Sequence], rows_b: Sequence[Sequence]) -> list[li
     for combo in combos:
         vec = None
         for coeff, row in zip(combo[: len(rows_a)], rows_a):
+            if not coeff:
+                continue
             term = [coeff * x for x in row]
             vec = term if vec is None else [a + b for a, b in zip(vec, term)]
-        if vec is not None and not all(_is_zero(x) for x in vec):
+        if vec is not None and any(vec):
             result.append(vec)
     ech, pivots = row_echelon(result) if result else ([], [])
     return [ech[i] for i in range(len(pivots))]

@@ -158,32 +158,41 @@ class _Prolongation:
     def apply(self, level: int, coords: Vec, arg_level: int, arg: Vec) -> Vec:
         """Bracket of a level >= 0 element (basis coordinates) with a nilpotent element."""
         if level == 0:
-            D = [[sum(c * Fraction(p.matrix[r][s]) for c, p in zip(coords, self.g0))
-                  for s in range(4)] for r in range(4)]
+            terms = [(c, p) for c, p in zip(coords, self.g0) if c]
             if arg_level == -1:
+                D = [[Fraction(0)] * 4 for _ in range(4)]
+                for c, p in terms:
+                    for D_row, p_row in zip(D, p.matrix):
+                        for s, x in enumerate(p_row):
+                            if x:
+                                D_row[s] += c * x
                 return linalg.mat_vec(D, arg)
-            scalar = sum(c * p.scalar for c, p in zip(coords, self.g0))
+            scalar = sum((c * p.scalar for c, p in terms), Fraction(0))
             return [scalar * arg[0]]
         raw = self.raw_element(level, coords)
-        size_f = 4 * self.dim(level - 1)
+        dim = self.dim(level - 1)
         if arg_level == -1:
-            out = [Fraction(0)] * self.dim(level - 1)
+            out = [Fraction(0)] * dim
             for col in range(4):
-                if arg[col] == 0:
+                a = arg[col]
+                if not a:
                     continue
-                block = raw[col * self.dim(level - 1):(col + 1) * self.dim(level - 1)]
-                out = [o + arg[col] * b for o, b in zip(out, block)]
+                for r, b in enumerate(raw[col * dim:(col + 1) * dim]):
+                    if b:
+                        out[r] += a * b
             return out
-        g_part = raw[size_f:]
-        return [arg[0] * x for x in g_part]
+        return [arg[0] * x for x in raw[4 * dim:]]
 
     def raw_element(self, level: int, coords: Vec) -> Vec:
         """Stacked (f, g) data of a level >= 1 element given in basis coordinates."""
         basis = self.bases[level]
         out = [Fraction(0)] * len(basis[0])
         for c, vec in zip(coords, basis):
-            if c != 0:
-                out = [x + c * y for x, y in zip(out, vec)]
+            if not c:
+                continue
+            for n, y in enumerate(vec):
+                if y:
+                    out[n] += c * y
         return out
 
     def compute_level(self, k: int) -> list[Vec]:

@@ -60,6 +60,23 @@ class TestExitCodes:
                             "--at", "x0=1,x1=3,x2=1,x3=1,x4=1"])
         assert code == 2
 
+    def test_negative_prolongation_degree_is_input_error(self):
+        code, report = run(["tanaka", "prolong", "--max-degree", "-3"])
+        assert code == 2 and report.status == "input-error"
+        assert "--max-degree" in report.results["error"]
+        code, report = run(["tanaka", "prolong", "--max-degree", "0"])
+        assert code == 0 and report.results["degree_dims"] == []
+        assert report.results["truncated"] is True
+
+    @pytest.mark.parametrize("option,value", [("--homogeneity", "50"),
+                                              ("--coefficients", "q")])
+    def test_cohomology_option_without_degree_is_input_error(self, option, value):
+        code, report = run(["tanaka", "cohomology", option, value])
+        assert code == 2 and report.status == "input-error"
+        assert f"{option} needs --degree" in report.results["error"]
+        code, report = run(["tanaka", "cohomology", option, value, "--degree", "2"])
+        assert code == 0 and isinstance(report.results["dimension"], int)
+
 
 class TestExpressionOptions:
     """An expression value may start with a minus sign without ``=``."""
@@ -194,6 +211,12 @@ class TestVerificationCommands:
                             "--degree", "2", "--homogeneity", "1"])
         assert code == 0
         assert report.results["dimension"] == 9
+
+    def test_tanaka_cohomology_degree_defaults(self):
+        # --degree alone takes the full algebra and homogeneity 1
+        code, report = run(["tanaka", "cohomology", "--degree", "2"])
+        assert code == 0
+        assert report.results["dimension"] == 8
 
     def test_tanaka_normalization(self):
         code, report = run(["tanaka", "normalization"])

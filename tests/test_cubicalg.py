@@ -114,7 +114,10 @@ class TestStabilizer:
         assert linalg.in_span(flat, sum(linalg.identity(4), []))
 
     def test_span_equals_representation_image(self):
-        assert stabilizer_matches_representation()
+        assert stabilizer_matches_representation(stabilizer_subalgebra())
+
+    def test_proper_subspace_does_not_match(self):
+        assert not stabilizer_matches_representation(stabilizer_subalgebra()[:3])
 
     def test_closed_under_commutator(self):
         assert stabilizer_is_closed_under_commutator()

@@ -102,7 +102,22 @@ class TestGrading:
             assert alg.bracket_basis(0, j) == {}
 
 
+def dense_killing_form(alg):
+    """The definition tr(ad E_i ad E_j), from dense ad matrices."""
+    n = alg.dim
+    ads = [alg.ad(i) for i in range(n)]
+    return [[sum(ads[i][k][l] * ads[j][l][k] for k in range(n) for l in range(n))
+             for j in range(n)] for i in range(n)]
+
+
 class TestInvariantForms:
+    def test_killing_form_is_the_trace_of_ad_products(self):
+        alg = commutator_table()
+        kappa = alg.killing_form()
+        assert kappa == dense_killing_form(alg)
+        assert all(isinstance(x, Fraction) for row in kappa for x in row)
+
+
     def test_unique_bilinear_form_with_split_signature(self):
         rep = invariant_forms()
         assert rep.bilinear_dimension == 1

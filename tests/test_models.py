@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from engelkit import models
 from engelkit.models import (
     ConstantStructureSystem,
+    _restrict,
     catalogue,
     flat_ideal_report,
     flat_symmetry_system,
@@ -64,6 +66,36 @@ class TestIdentification:
             rep = identify(by_name(name))
             assert not rep.semisimple
             assert rep.center_dim == 0
+
+
+def dense_killing_form(alg):
+    """The definition tr(ad E_i ad E_j), from dense ad matrices."""
+    n = alg.dim
+    ads = [alg.ad(i) for i in range(n)]
+    return [[sum(ads[i][k][l] * ads[j][l][k] for k in range(n) for l in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+class TestKillingForm:
+    def test_catalogue_matches_trace_of_ad_products(self):
+        for system in catalogue() + [flat_symmetry_system()]:
+            alg = system.dual_algebra()
+            assert alg.killing_form() == dense_killing_form(alg), system.name
+
+    def test_split_ideals_match_trace_of_ad_products(self, monkeypatch):
+        restricted = []
+
+        def recording(alg, rows):
+            sub = _restrict(alg, rows)
+            restricted.append(sub)
+            return sub
+
+        monkeypatch.setattr(models, "_restrict", recording)
+        rep = identify(by_name("six-dim-split"), split_ideals=True)
+        assert rep.ideal_split == ((3, True), (3, True))
+        assert len(restricted) == 2
+        for sub in restricted:
+            assert sub.killing_form() == dense_killing_form(sub)
 
 
 class TestFlatSymmetrySystem:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from . import cubicalg, engel, g2alg, kerr, models, tanaka
+from . import cubicalg, engel, g2alg, kerr, models, symexpr, tanaka
 from .forms import distribution_growth
 from .symexpr import ExprError, parse
 
@@ -97,18 +97,21 @@ def _parse_point(text: str) -> dict[str, float | Fraction | int]:
         name, value = item.split("=", 1)
         name = name.strip()
         value = value.strip()
-        if "." in value or "e" in value or "E" in value:
-            number = float(value)
-            if not math.isfinite(number):
-                raise ValueError(f"point value {name}={value} is not a finite number")
-            point[name] = number
-        elif "/" in value:
-            num, den = value.split("/")
-            if int(den) == 0:
-                raise ValueError(f"point value {name}={value} divides by zero")
-            point[name] = Fraction(int(num), int(den))
-        else:
-            point[name] = int(value)
+        try:
+            if "." in value or "e" in value or "E" in value:
+                number = float(value)
+            elif "/" in value:
+                num, den = value.split("/")
+                number = Fraction(int(num), int(den))
+            else:
+                number = int(value)
+        except ZeroDivisionError:
+            raise ValueError(f"point value {name}={value} divides by zero") from None
+        except ValueError:
+            raise ValueError(f"point value {name}={value} is not a number") from None
+        if isinstance(number, float) and not math.isfinite(number):
+            raise ValueError(f"point value {name}={value} is not a finite number")
+        point[name] = number
     return point
 
 
@@ -563,7 +566,8 @@ def _execute(argv: list[str]) -> tuple[int, Report, str]:
     name = args.command + (f" {args.subcommand}" if hasattr(args, "subcommand") else "")
     report = Report(command=name)
     try:
-        args.handler(args, report)
+        with symexpr.factor_base():  # one base per command, started empty
+            args.handler(args, report)
     except (ExprError, ValueError, engel.StructureShapeError, _InputError) as exc:
         report.status = INPUT_ERROR
         report.results["error"] = str(exc)

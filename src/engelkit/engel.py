@@ -627,10 +627,10 @@ def _null_plane_checks(acf: AdaptedCoframe, inv: InvariantJet):
     phi2 = w[2] - w[0] * (inv.b / 2)
     phi3 = w[3] - w[0] * inv.c
     vol = acf.volume()
-    id1 = phi1.d().wedge(phi1).wedge(phi2).wedge(phi3).is_zero
-    id2 = phi2.d().wedge(phi1).wedge(phi2).wedge(phi3).is_zero
-    id3 = phi3.d().wedge(phi1).wedge(phi2).wedge(phi3) == \
-        vol * (-(inv.M - inv.P) / 2)
+    phi123 = phi1.wedge(phi2).wedge(phi3)
+    id1 = phi1.d().wedge(phi123).is_zero
+    id2 = phi2.d().wedge(phi123).is_zero
+    id3 = phi3.d().wedge(phi123) == vol * (-(inv.M - inv.P) / 2)
     rows = [
         [phi.coefficient((k,)) for k in range(5)] for phi in (phi1, phi2, phi3)
     ]

@@ -20,6 +20,7 @@ chart.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,8 +174,10 @@ def solve_kerr_numeric(F: KerrFunction | Expr, point: Mapping[str, Number],
     """
     if isinstance(F, Expr):
         F = KerrFunction(F)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not math.isfinite(tol) or tol <= 0:
+        raise ValueError(f"tolerance must be a positive finite number, not {tol}")
+    if not math.isfinite(guess):
+        raise ValueError(f"initial guess must be a finite number, not {guess}")
     base_point = dict(point)  # x0..x4 plus values for any free parameters of F
     for i in range(5):
         if f"x{i}" not in base_point:

@@ -17,10 +17,10 @@ Variables carry a *kind* that controls differentiation:
 * free parameters -- any other identifier; transcendental constants with
   derivative zero.
 
-The sparse polynomial arithmetic itself (including multivariate GCD) is
-delegated to :mod:`sympy.polys`; this module owns the canonical-form
-contract, the variable-kind semantics, the grammar and the evaluation
-rules.
+The sparse polynomial arithmetic itself, and the factorisation of
+irreducibles not met before, are delegated to :mod:`sympy.polys`; this
+module owns the canonical-form contract and the cancellation rules below,
+the variable-kind semantics, the grammar and the evaluation rules.
 
 The field operations cancel on cofactors, not on the full product that
 sympy's ``FracElement`` arithmetic cancels with one GCD (Henrici's rules,
@@ -60,6 +60,24 @@ that are coprime themselves:
    contents.  Disjoint supports are the special case where every
    coefficient is an integer.  A GCD with a monomial needs no test: sympy
    takes it in one pass over the other operand.
+5. Factor base, for a GCD of two polynomials that rule 4 cannot decide:
+   the shorter operand ``f`` is split as ``f = u * p1^e1 * ... * pr^er``,
+   with ``u`` an integer and the ``pi`` distinct primitive irreducibles
+   with positive leading coefficient, kept in a base of those met so far.
+   A split is read from the base's record of splits, or found by dividing
+   ``f`` by each base irreducible to its full power; only a leftover that
+   is not an integer goes to sympy's ``factor_list`` (once), and its
+   factors join the base.  Then
+   ``gcd(f, g) = gcd(|u|, content(g)) * prod pi^min(ei, v_pi(g))``, with
+   ``v_pi(g)`` the multiplicity found by trial division of ``g``.  This is
+   exact: ``Z[x]`` has unique factorisation, ``|u|`` is the content of
+   ``f`` since a product of primitive polynomials is primitive (Gauss's
+   lemma), and distinct primitive irreducibles with positive leading
+   coefficient are pairwise coprime.  The result does not depend on the
+   order of the base or on what it holds.
+   The base lives for one CLI command (``factor_base``); outside any
+   command a default base per thread starts again empty when it grows past
+   a fixed size.
 
 Each value lives in the field over its own variables, sorted by name.  A
 binary operation first re-embeds both operands into the field over the
@@ -76,15 +94,21 @@ from __future__ import annotations
 
 import enum
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from math import isqrt
 from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 from sympy import ZZ
 from sympy.polys.fields import field as _sympy_field
 from sympy.polys.orderings import grlex
+
+from .linalg import rank
 
 __all__ = [
     "VarKind",
@@ -105,6 +129,7 @@ __all__ = [
     "partial",
     "substitute",
     "evaluate",
+    "factor_base",
     "jet_order",
 ]
 
@@ -307,6 +332,15 @@ def _has_integer_coefficient(poly, free) -> bool:
     return not alone <= shared
 
 
+def _coprime_by_supports(f, g) -> bool:
+    """The coprimality test (rule 4): whether some coefficient of ``f``, as
+    a polynomial in the variables that ``g`` lacks, is an integer, or the
+    same with ``f`` and ``g`` swapped; then ``gcd(f, g)`` is an integer."""
+    in_f, in_g = _occurs(f), _occurs(g)
+    return (_has_integer_coefficient(f, [a and not b for a, b in zip(in_f, in_g)])
+            or _has_integer_coefficient(g, [b and not a for a, b in zip(in_f, in_g)]))
+
+
 def _content_cofactors(f, g):
     """``_cofactors`` when ``gcd(f, g)`` is known to be an integer."""
     c = f.content()
@@ -324,15 +358,251 @@ def _cofactors(f, g):
     polynomial in the variables that ``g`` lacks, is an integer (or the same
     with ``f`` and ``g`` swapped), then ``h`` divides that integer, so ``h``
     is the GCD of the integer contents and no polynomial GCD is taken.  A
-    monomial needs no test: sympy takes its GCD in one pass.
+    monomial needs no test: sympy takes its GCD in one pass.  Otherwise the
+    shorter operand is split over the factor base (rule 5).
     """
     if len(f) == 1 or len(g) == 1:
         return f.cofactors(g)  # sympy's one-pass rule for a monomial
-    in_f, in_g = _occurs(f), _occurs(g)
-    if (_has_integer_coefficient(f, [a and not b for a, b in zip(in_f, in_g)])
-            or _has_integer_coefficient(g, [b and not a for a, b in zip(in_f, in_g)])):
+    if _coprime_by_supports(f, g):
         return _content_cofactors(f, g)
-    return f.cofactors(g)
+    if len(g) < len(f):
+        h, cg, cf = _current_base().cofactors(g, f)
+        return h, cf, cg
+    return _current_base().cofactors(f, g)
+
+
+# -- the factor base (rule 5) ---------------------------------------------------
+
+# A base that holds more splits than this starts again empty, so that the
+# memory of a long-lived base (the default one of library use) stays bounded.
+_BASE_LIMIT = 4096
+
+
+def _total_degree(poly) -> int:
+    return max(map(sum, poly.itermonoms()))
+
+
+def _exquo(f, p):
+    """``f/p`` when ``p`` divides ``f`` exactly, else None.
+
+    Division in graded lexicographic order with a heap of the remainder's
+    monomials: when ``p`` divides, every leading term of the remainder is a
+    multiple of ``p``'s, so the first one that is not proves ``p`` does not
+    divide, and the division stops there.
+    """
+    (lm, lc), *rest = sorted(p.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    remainder = dict(f)
+    heap = [(-sum(m), tuple([-e for e in m]), m) for m in remainder]
+    heapify(heap)
+    quotient = {}
+    while heap:
+        m = heappop(heap)[2]
+        c = remainder.pop(m, 0)
+        if not c:
+            continue  # cancelled, or a second entry of one monomial
+        qm = tuple([a - b for a, b in zip(m, lm)])
+        qc, r = divmod(c, lc)
+        if r or min(qm) < 0:
+            return None
+        quotient[qm] = qc
+        for mon, co in rest:
+            mm = tuple([a + b for a, b in zip(qm, mon)])
+            v = remainder.get(mm, 0) - qc * co
+            if v:
+                if mm not in remainder:
+                    heappush(heap, (-sum(mm), tuple([-e for e in mm]), mm))
+                remainder[mm] = v
+            else:
+                remainder.pop(mm, None)
+    return f.ring.dtype(quotient)
+
+
+def _divide_out(f, p, bound: int | None = None):
+    """``(k, f/p^k)`` for the largest ``k`` with ``p^k | f``, at most
+    ``bound`` when one is given."""
+    k = 0
+    while bound is None or k < bound:
+        q = _exquo(f, p)
+        if q is None:
+            break
+        f, k = q, k + 1
+    return k, f
+
+
+def _proved_irreducible(f) -> bool:
+    """Whether ``f``, primitive and not a monomial, is proved irreducible
+    without factoring it, by one of two certificates:
+
+    * A variable ``x`` of degree 1.  Write ``f = a*x + b`` with ``a``, ``b``
+      free of ``x``: a factor free of ``x`` divides both, and the other
+      factor has degree 1 in ``x``, so ``f`` is irreducible when
+      ``gcd(a, b)`` is an integer, which then divides the content 1 of
+      ``f``.  That is decided only where no polynomial GCD is needed: when
+      ``a`` or ``b`` is a monomial (sympy's one-pass rule) or by the
+      coprimality test (rule 4).
+    * Total degree 2 and a homogenised quadric that does not split over Q.
+      A factorisation of ``f`` is one into two linear polynomials, and
+      their homogenised product ``L1*L2`` has the symmetric matrix
+      ``(L1 L2^T + L2 L1^T)/2``, of rank at most 2.  At rank 2 the form is
+      ``d1*y1^2 + d2*y2^2`` in rational coordinates, and it splits over Q
+      exactly when ``-d1*d2`` is a square; ``d1*d2`` is, up to a square,
+      any nonzero principal 2x2 minor, since a nondegenerate coordinate
+      plane is a complement of the radical.
+    """
+    ring = f.ring
+    for i, degree in enumerate(map(max, zip(*f.itermonoms()))):
+        if degree != 1:
+            continue
+        a, b = {}, {}
+        for mon, c in f.items():
+            if mon[i]:
+                a[mon[:i] + (0,) + mon[i + 1:]] = c
+            else:
+                b[mon] = c
+        if not b:
+            continue
+        a, b = ring.dtype(a), ring.dtype(b)
+        if len(a) == 1 or len(b) == 1:
+            if a.cofactors(b)[0].is_ground:
+                return True
+        elif _coprime_by_supports(a, b):
+            return True
+    return _total_degree(f) == 2 and not _quadric_splits(f)
+
+
+def _quadric_splits(f) -> bool:
+    """Whether the homogenised ``f`` of total degree 2 is a product of
+    two linear forms over Q, from twice its symmetric matrix."""
+    occurring = [i for i, used in enumerate(_occurs(f)) if used]
+    n = len(occurring)
+    matrix = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for mon, c in f.items():
+        index = [k for k, pos in enumerate(occurring) for _ in range(mon[pos])]
+        i, j = (index + [n, n])[:2]  # n stands for the homogenising variable
+        matrix[i][j] += c
+        matrix[j][i] += c
+    r = rank(matrix)
+    if r != 2:
+        return r < 2
+    minor = next(d for i in range(n + 1) for j in range(i + 1, n + 1)
+                 if (d := matrix[i][i] * matrix[j][j] - matrix[i][j] ** 2))
+    return -minor > 0 and isqrt(int(-minor)) ** 2 == -minor
+
+
+def _factor(f):
+    """sympy's ``factor_list`` of the non-constant ``f``, with a monomial
+    and a polynomial that ``_proved_irreducible`` certifies read off
+    directly."""
+    if len(f) == 1:
+        [(mon, c)] = f.items()
+        return c, [(gen, e) for gen, e in zip(f.ring.gens, mon) if e]
+    c, prime = f.primitive()
+    if _proved_irreducible(prime):
+        return c, [(prime, 1)]
+    return f.factor_list()
+
+
+class _FactorBase:
+    """Primitive irreducible polynomials met so far, and how each polynomial
+    already split factors over them (rule 5 of the module docstring).
+
+    ``primes`` maps a polynomial ring to the irreducibles met in it, each
+    once; ``splits`` maps a polynomial to its split over them,
+    ``(unit, ((prime, exponent), ...))``.
+    """
+
+    __slots__ = ("primes", "splits")
+
+    def __init__(self):
+        self.primes: dict = {}
+        self.splits: dict = {}
+
+    def _record(self, f, split) -> None:
+        if len(self.splits) >= _BASE_LIMIT:
+            self.primes, self.splits = {}, {}
+        self.splits[f] = split
+
+    def split(self, f):
+        """``(unit, ((p, e), ...))`` with ``f == unit * prod(p**e)`` over
+        distinct primes of the base: read from the record, else found by
+        trial division by the base primes, with ``factor_list`` only for a
+        leftover that is not an integer."""
+        known = self.splits.get(f)
+        if known is not None:
+            return known
+        primes = self.primes.setdefault(f.ring, [])
+        factors = []
+        rest = f
+        for p in primes:
+            k, rest = _divide_out(rest, p)
+            if k:
+                factors.append((p, k))
+        if rest.is_ground:
+            unit = int(rest.LC)
+        else:
+            unit, pieces = _factor(rest)
+            unit = int(unit)
+            for q, e in pieces:
+                if q.LC < 0:
+                    q = -q
+                    unit *= (-1) ** e
+                primes.append(q)
+                factors.append((q, e))
+        split = (unit, tuple(factors))
+        self._record(f, split)
+        return split
+
+    def cofactors(self, f, g):
+        """``_cofactors(f, g)`` by splitting ``f`` over the base: the GCD is
+        the GCD ``c`` of the integer contents times ``p^min(e, v_p(g))`` for
+        each ``p^e`` of the split, with ``v_p(g)`` found by trial division."""
+        unit, factors = self.split(f)
+        c = ZZ.gcd(unit, g.content())
+        common = {}
+        for p, e in factors:
+            k, g = _divide_out(g, p, e)
+            if k:
+                common[p] = k
+        ring = f.ring
+        if not common:
+            if c == 1:
+                return ring.one, f, g
+            return ring.ground_new(c), f.quo_ground(c), g.quo_ground(c)
+        h = ring.ground_new(c)
+        for p, k in common.items():
+            h *= p ** k
+            f = _divide_out(f, p, k)[1]
+        if c != 1:
+            f, g = f.quo_ground(c), g.quo_ground(c)
+        self._record(h, (c, tuple(common.items())))
+        self._record(f, (unit // c, tuple((p, e - common.get(p, 0))
+                                          for p, e in factors if e > common.get(p, 0))))
+        return h, f, g
+
+
+# The base of the running command (see ``factor_base``), or, outside any
+# scope, the default base of this thread or context.
+_BASE: ContextVar[_FactorBase] = ContextVar("engelkit_factor_base")
+
+
+def _current_base() -> _FactorBase:
+    try:
+        return _BASE.get()
+    except LookupError:
+        base = _FactorBase()
+        _BASE.set(base)
+        return base
+
+
+@contextmanager
+def factor_base():
+    """Run the enclosed arithmetic over a new, empty factor base, dropped on
+    exit.  Results do not depend on the base, only the time they take."""
+    token = _BASE.set(_FactorBase())
+    try:
+        yield
+    finally:
+        _BASE.reset(token)
 
 
 def _product(n1, d1, n2, d2):
@@ -636,16 +906,16 @@ class Expr:
         missing = [v.name for v in occurring if v.name not in values]
         if missing:
             raise UnassignedVariableError(f"unassigned variables: {', '.join(missing)}")
-        exact = all(not isinstance(values[v.name], float) for v in occurring)
+        if all(not isinstance(values[v.name], float) for v in occurring):
+            return self._evaluate_exact(values, occurring)
 
         def eval_poly(poly):
-            total = Fraction(0) if exact else 0.0
+            total = 0.0
             for mon, coeff in poly.terms():
-                term = Fraction(int(coeff)) if exact else float(coeff)
+                term = float(coeff)
                 for var, exp in zip(self._vars, mon):
                     if exp:
-                        val = values[var.name]
-                        term *= (Fraction(val) if exact else float(val)) ** exp
+                        term *= float(values[var.name]) ** exp
                 total += term
             return total
 
@@ -653,6 +923,41 @@ class Expr:
         if den == 0:
             raise PoleError("denominator vanishes at the evaluation point")
         return eval_poly(self._elem.numer) / den
+
+    def _evaluate_exact(self, values: Mapping[str, Number],
+                        occurring: tuple[Var, ...]) -> Fraction:
+        """The value at a rational point, in integer arithmetic: with the
+        value ``p_v/q_v`` of each variable ``v`` and a polynomial's degree
+        ``D_v`` in ``v``, the polynomial times ``prod q_v^D_v`` is the
+        integer sum over its terms of ``c * prod p_v^e_v * q_v^(D_v - e_v)``.
+        One ``Fraction`` is built at the end."""
+        rationals = [(i, Fraction(values[v.name])) for i, v in enumerate(self._vars)
+                     if v in occurring]
+
+        def scaled(poly) -> tuple[int, int]:
+            """``(s, q)`` with ``poly`` equal to ``s/q`` at the point."""
+            degrees = tuple(map(max, zip(*poly.itermonoms())))
+            tables, scale = [], 1
+            for i, r in rationals:
+                d = degrees[i]
+                if d:
+                    p, q = r.numerator, r.denominator
+                    tables.append((i, [p ** e * q ** (d - e) for e in range(d + 1)]))
+                    scale *= q ** d
+            total = 0
+            for mon, c in poly.items():
+                for i, powers in tables:
+                    c *= powers[mon[i]]
+                total += c
+            return total, scale
+
+        den, den_scale = scaled(self._elem.denom)
+        if den == 0:
+            raise PoleError("denominator vanishes at the evaluation point")
+        if not self._elem.numer:
+            return Fraction(0)
+        num, num_scale = scaled(self._elem.numer)
+        return Fraction(num * den_scale, num_scale * den)
 
     # -- printing ----------------------------------------------------------
 

@@ -147,6 +147,7 @@ class _Prolongation:
         self.g0 = list(g0)
         self.level_dims: dict[int, int] = {-2: 1, -1: 4, 0: len(self.g0)}
         self.bases: dict[int, list[Vec]] = {}
+        self._brackets: dict[tuple[int, int | None], list[Vec]] = {}
 
     def dim(self, level: int) -> int:
         return self.level_dims[level]
@@ -183,6 +184,20 @@ class _Prolongation:
             return out
         return [arg[0] * x for x in raw[4 * dim:]]
 
+    def basis_brackets(self, level: int, j: int | None) -> list[Vec]:
+        """The bracket of each basis element of ``level`` >= 0 with the grade
+        -1 basis vector ``e_j``, or with the center when ``j`` is None;
+        computed once per level and argument."""
+        out = self._brackets.get((level, j))
+        if out is None:
+            arg_level, arg = (-2, [Fraction(1)]) if j is None else \
+                (-1, [Fraction(r == j) for r in range(4)])
+            dim = self.dim(level)
+            out = self._brackets[level, j] = [
+                self.apply(level, [Fraction(r == b) for r in range(dim)], arg_level, arg)
+                for b in range(dim)]
+        return out
+
     def raw_element(self, level: int, coords: Vec) -> Vec:
         """Stacked (f, g) data of a level >= 1 element given in basis coordinates."""
         basis = self.bases[level]
@@ -199,16 +214,11 @@ class _Prolongation:
         """Nullspace of the derivation-compatibility constraints at degree k."""
         size = self.element_size(k)
         rows: list[Vec] = []
-        e4 = linalg.identity(4)
         dim_km1 = self.dim(k - 1)
         size_f = 4 * dim_km1
-
-        def f_block(unit: Vec, col: int) -> Vec:
-            out = [Fraction(0)] * size
-            for r, v in enumerate(unit):
-                out[col * dim_km1 + r] = v
-            return out
-
+        # [f(e_b), e_j] and [f(e_b), z] for each basis element e_b of level k-1
+        with_grade1 = [self.basis_brackets(k - 1, j) for j in range(4)]
+        with_center = self.basis_brackets(k - 1, None)
         # condition on pairs in grade -1:  g([x,y]) = [f(x), y] + [x, f(y)]
         for i in range(4):
             for j in range(i + 1, 4):
@@ -220,36 +230,23 @@ class _Prolongation:
                     row[size_f + target] -= w
                     # +[f(e_i), e_j] - [f(e_j), e_i]
                     for basis_idx in range(dim_km1):
-                        unit = [Fraction(r == basis_idx) for r in range(dim_km1)]
-                        vij = self.apply(k - 1, unit, -1, e4[j])
-                        row[i * dim_km1 + basis_idx] += vij[target]
-                        vji = self.apply(k - 1, unit, -1, e4[i])
-                        row[j * dim_km1 + basis_idx] -= vji[target]
+                        row[i * dim_km1 + basis_idx] += with_grade1[j][basis_idx][target]
+                        row[j * dim_km1 + basis_idx] -= with_grade1[i][basis_idx][target]
                     rows.append(row)
         # condition mixing grade -1 and the center:  [f(x), z] + [x, g(z)] = 0
         for i in range(4):
-            target_dim = self.dim(k - 3)
-            for target in range(target_dim):
+            # [e_i, g(z)] = -[g(z), e_i] for g(z) in level k-2 >= 0
+            lower = self.basis_brackets(k - 2, i) if k >= 2 else None
+            for target in range(self.dim(k - 3)):
                 row = [Fraction(0)] * size
                 for basis_idx in range(dim_km1):
-                    unit = [Fraction(r == basis_idx) for r in range(dim_km1)]
-                    vz = self.apply(k - 1, unit, -2, [Fraction(1)])
-                    row[i * dim_km1 + basis_idx] += vz[target]
-                # [e_i, g(z)]: bracket of grade -1 with level k-2
+                    row[i * dim_km1 + basis_idx] += with_center[basis_idx][target]
                 if k == 1:
                     # g(z) in grade -1; [e_i, g(z)] lands in the center
                     for s in range(4):
                         row[size_f + s] += self.m.pairing[i][s]
-                elif k == 2:
-                    # g(z) in level 0; [e_i, g(z)] = -[g(z), e_i]
-                    for s in range(self.dim(0)):
-                        unit = [Fraction(r == s) for r in range(self.dim(0))]
-                        v = self.apply(0, unit, -1, e4[i])
-                        row[size_f + s] -= v[target]
                 else:
-                    for s in range(self.dim(k - 2)):
-                        unit = [Fraction(r == s) for r in range(self.dim(k - 2))]
-                        v = self.apply(k - 2, unit, -1, e4[i])
+                    for s, v in enumerate(lower):
                         row[size_f + s] -= v[target]
                 rows.append(row)
         return linalg.nullspace(rows, n_cols=size)

@@ -40,6 +40,25 @@ class TestExitCodes:
         assert code == 2 and report.status == "input-error"
         assert report.results["error"]
 
+    @pytest.mark.parametrize("option", [["--tol", "inf"], ["--tol", "nan"],
+                                        ["--tol", "-1"], ["--guess", "nan"],
+                                        ["--guess", "inf"], ["--guess", "1e400"]])
+    @pytest.mark.parametrize("command", [
+        ["kerr", "solve", "--F", "y2*t - (2*y3 - y1)"],
+        ["kerr", "section", "--H", "y4 - 3"],
+    ], ids=["solve", "section"])
+    def test_non_finite_kerr_option_is_input_error(self, command, option):
+        code, report = run(command + ["--at", "x0=0,x1=1,x2=1,x3=1,x4=1"] + option)
+        assert code == 2 and report.status == "input-error"
+        assert option[0].lstrip("-").replace("tol", "tolerance") in report.results["error"]
+
+    @pytest.mark.parametrize("value", ["1/2/3", "abc", "1/x", "--1"])
+    def test_malformed_point_value_is_named(self, value):
+        code, report = run(["classify", "--t", "x3",
+                            "--at", f"x0={value},x1=0,x2=0,x3=2,x4=0"])
+        assert code == 2 and report.status == "input-error"
+        assert report.results["error"] == f"point value x0={value} is not a number"
+
     def test_kerr_function_composing_free_of_t_is_input_error(self):
         code, report = run(["kerr", "solve", "--F", "2",
                             "--at", "x0=1,x1=3,x2=1,x3=1,x4=1"])

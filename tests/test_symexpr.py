@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import contextvars
 import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from engelkit import cli, engel, symexpr
 from engelkit.symexpr import (
     DivisionByZeroError,
     Expr,
@@ -20,10 +22,13 @@ from engelkit.symexpr import (
     VariableKindError,
     VarKind,
     _cofactors,
+    _current_base,
     _field_for,
     _merge_vars,
+    _proved_irreducible,
     diff,
     evaluate,
+    factor_base,
     integer,
     make_var,
     parse,
@@ -432,3 +437,247 @@ class TestCofactorRules:
         e = parse(text)
         assert str(e.partial(name)) == expected
         assert e.partial(name)._key() == parse(expected)._key()
+
+
+# -- exact evaluation in integers ---------------------------------------------
+
+
+def _evaluate_reference(e, point):
+    """``Expr.evaluate``'s exact loop before it worked in integers: one
+    ``Fraction`` per term."""
+    values = dict(point)
+    missing = [v.name for v in e.occurring_vars() if v.name not in values]
+    if missing:
+        raise UnassignedVariableError(f"unassigned variables: {', '.join(missing)}")
+
+    def eval_poly(poly):
+        total = Fraction(0)
+        for mon, coeff in poly.terms():
+            term = Fraction(int(coeff))
+            for var, exp in zip(e._vars, mon):
+                if exp:
+                    term *= Fraction(values[var.name]) ** exp
+            total += term
+        return total
+
+    den = eval_poly(e._elem.denom)
+    if den == 0:
+        raise PoleError("denominator vanishes at the evaluation point")
+    return eval_poly(e._elem.numer) / den
+
+
+_EVAL_VALUES = st.one_of(st.integers(-2, 2),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A rational function whose denominator has small linear factors, and
+    a small rational point, which often hits a pole and sometimes leaves a
+    variable unassigned; names that do not occur may carry a float, which
+    must not leave the exact branch."""
+    e = draw(shared_factor_functions())._trim()
+    point = {name: draw(_EVAL_VALUES) for name in _ARITH_NAMES
+             if draw(st.integers(0, 9))}
+    occurring = {v.name for v in e.occurring_vars()}
+    for name in _ARITH_NAMES:
+        if name not in occurring and draw(st.booleans()):
+            point[name] = float("inf")
+    return e, point
+
+
+@settings(max_examples=200, deadline=None)
+@given(evaluation_cases())
+@example((parse("x1/(x2 - 1/2)"), {"x1": 3, "x2": Fraction(1, 2)}))  # pole
+@example((parse("x1/(2*x2)"), {"x1": Fraction(-3, 4), "x2": Fraction(5, 6)}))
+@example((parse("(x1 - x2)/x3"), {"x1": 1, "x2": 1, "x3": 7}))  # zero value
+@example((parse("x1 + c"), {"x1": 1}))  # unassigned
+@example((integer(5), {"x1": float("inf")}))  # constant: exact, no variables
+def test_exact_evaluation_matches_fraction_loop(case):
+    e, point = case
+    try:
+        expected = _evaluate_reference(e, point)
+    except (PoleError, UnassignedVariableError) as exc:
+        with pytest.raises(type(exc)):
+            e.evaluate(point)
+        return
+    result = e.evaluate(point)
+    assert type(result) is type(expected) is Fraction
+    assert result == expected
+
+
+# -- the factor base (rule 5) ----------------------------------------------------
+
+_RING = _ARITH_FIELD.ring
+_RING_GENS = {name: gen.numer for name, gen in _ARITH_GENS.items()}
+# irreducibles beyond the shared ones: a quadric, a linear form with a
+# negative leading coefficient, and a linear form met as a square below
+_MORE_FACTORS = (
+    lambda g: g["x1"] * g["x4"] - g["x2"] * g["x3"],
+    lambda g: -g["x2"] + 3 * g["x4"],
+    lambda g: g["x1"] - 7 * g["x3"],
+    lambda g: g["x1"] ** 2 + g["c"] * g["x3"] + 1,
+)
+
+
+@st.composite
+def factored_polynomials(draw):
+    """A nonzero polynomial: an integer of either sign times powers of
+    known irreducibles, and sometimes a random polynomial."""
+    p = _RING(draw(st.sampled_from([1, -1, 2, -6, 9, -15])))
+    for factor in draw(st.lists(st.sampled_from(_SHARED_FACTORS + _MORE_FACTORS),
+                                max_size=3)):
+        p *= factor(_RING_GENS) ** draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        extra = _RING.zero
+        for _ in range(draw(st.integers(1, 3))):
+            term = _RING(draw(st.integers(-3, 3)))
+            for name in draw(st.lists(st.sampled_from(_ARITH_NAMES), max_size=3)):
+                term *= _RING_GENS[name]
+            extra += term
+        p *= extra or 1
+    return p
+
+
+def _seed_base():
+    """Split polynomials over the current base, so that it holds primes
+    and a record of splits before the checked arithmetic starts."""
+    g = _RING_GENS
+    for poly in ((3 * g["x2"] - 11 * g["x4"]) ** 2 * (g["x1"] - 2 * g["x3"]),
+                 -6 * (g["x1"] * g["x4"] - g["x2"] * g["x3"]) * (g["x3"] + 1) ** 3,
+                 (g["c"] * g["x2"] + 1) * (2 * g["t"] - g["x4"])):
+        _current_base().split(poly)
+
+
+def _assert_cofactors(f, g):
+    h, cf, cg = _cofactors(f, g)
+    H, CF, CG = f.cofactors(g)
+    assert (h, cf, cg) in ((H, CF, CG), (-H, -CF, -CG))
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["empty", "seeded"])
+@settings(max_examples=80, deadline=None)
+@given(factored_polynomials(), factored_polynomials(), st.sampled_from([-1, 3]))
+def test_factor_base_cofactors_match_sympy(seeded, f, g, unit):
+    with factor_base():
+        if seeded:
+            _seed_base()
+        _assert_cofactors(f, g)
+        # again, now that the base has recorded the splits
+        _assert_cofactors(g * unit, f)
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["empty", "seeded"])
+@settings(max_examples=60, deadline=None)
+@given(shared_factor_functions(), shared_factor_functions())
+def test_factor_base_arithmetic_matches_sympy(seeded, a, b):
+    with factor_base():
+        if seeded:
+            _seed_base()
+        test_cofactor_arithmetic_matches_sympy.hypothesis.inner_test(a, b)
+
+
+def _prime_count(base):
+    return sum(map(len, base.primes.values()))
+
+
+class TestFactorBase:
+    def _poly(self, text):
+        return parse(text)._in_field(_ARITH_VARS).numer
+
+    @pytest.mark.parametrize("f, g", [
+        ("(3*x2 - 11*x4)^3", "(3*x2 - 11*x4)^2*(x1 + 1)"),
+        ("(3*x2 - 11*x4)^2*(x1 - 2*x3)", "(3*x2 - 11*x4)^5*(x1 - 2*x3)^2"),
+        ("(x1*x4 - x2*x3)*(x1 - 7*x3)^2", "(x1 - 7*x3)^3*(x1*x4 - x2*x3 + 1)"),
+        ("(x1*x4 - x2*x3)*(x1 - 7*x3)^2", "(x1*x4 - x2*x3)^2*(x1 - 7*x3)"),
+        ("6*(x1 - 7*x3)^2", "-4*(x1 - 7*x3)*(x2 + 1)"),           # contents 6, 4
+        ("-(3*x2 - 11*x4)*(x1 + x3)", "(-3*x2 + 11*x4)^2*x1"),     # negative leading
+        ("-15*(x1 + x3 + 1)", "-25*(x1 + x3 + 1)^2*(x2 - x4)"),
+        ("(x1^2 - x3^2)*(x2 + x4)", "(x1 + x3)^2*(x1*x2 - 1)"),   # factor_list
+    ])
+    def test_known_splits(self, f, g):
+        f, g = self._poly(f), self._poly(g)
+        with factor_base():
+            for _ in range(2):  # the second round reads the record
+                _assert_cofactors(f, g)
+                _assert_cofactors(g, f)
+
+    def test_split_is_a_factorisation_into_base_primes(self):
+        f = self._poly("-12*(x1*x4 - x2*x3)*(x1 - 7*x3)^2*(3*x2 - 11*x4)^3")
+        with factor_base():
+            unit, factors = _current_base().split(f)
+            product = _RING(unit)
+            for p, e in factors:
+                assert p.LC > 0 and p.content() == 1
+                product *= p ** e
+            assert product == f and unit == -12
+            assert sorted(e for _, e in factors) == [1, 2, 3]
+
+    def test_each_command_starts_with_an_empty_base(self, monkeypatch):
+        seen = []
+        original = engel.geometric_checks
+
+        def spy(acf):
+            base = _current_base()
+            seen.append((base, _prime_count(base), len(base.splits)))
+            result = original(acf)
+            seen.append((base, _prime_count(base), len(base.splits)))
+            return result
+
+        monkeypatch.setattr(engel, "geometric_checks", spy)
+        outer = _current_base()
+        before = (_prime_count(outer), len(outer.splits))
+        for _ in range(2):
+            code, _ = cli.run(["geometry", "--t=(x1 - 3*x3)/(-x2 + 3*x4)"])
+            assert code == 0
+        (b1, p1, s1), (a1, q1, t1), (b2, p2, s2), (a2, q2, t2) = seen
+        assert b1 is a1 and b2 is a2 and b1 is not b2 and outer not in (b1, b2)
+        assert (p1, s1) == (p2, s2) == (0, 0)
+        assert q1 == q2 > 0 and t1 == t2 > 0  # the command used its base
+        assert _current_base() is outer and (_prime_count(outer), len(outer.splits)) == before
+
+    def test_default_base_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(symexpr, "_BASE_LIMIT", 8)
+        g = _RING_GENS
+        line = 3 * g["x2"] - 11 * g["x4"]
+
+        def work():
+            sizes = []
+            for k in range(1, 30):
+                f = line ** (k % 3 + 1) * (g["x1"] + k * g["x3"])
+                _assert_cofactors(f, line ** 2 * (g["x1"] + k))
+                sizes.append(len(_current_base().splits))
+            return sizes
+
+        sizes = contextvars.Context().run(work)  # a fresh default base
+        assert max(sizes) <= 8 and min(sizes) < max(sizes)
+
+
+@st.composite
+def small_polynomials(draw):
+    """A primitive non-monomial polynomial of total degree at most 3: random,
+    or a product of two random linear or quadratic ones."""
+    def poly(degree):
+        total = _RING.zero
+        for _ in range(draw(st.integers(1, 5))):
+            term = _RING(draw(st.integers(-4, 4)))
+            for name in draw(st.lists(st.sampled_from(_ARITH_NAMES[2:]), max_size=degree)):
+                term *= _RING_GENS[name]
+            total += term
+        return total
+
+    p = poly(3) if draw(st.booleans()) else poly(1) * poly(draw(st.integers(1, 2)))
+    assume(len(p) > 1)
+    return p.primitive()[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_polynomials())
+@example(parse("x1^2 - 14*x1*x3 - 7*x2^2 + 98*x2*x4 + 49*x3^2 - 343*x4^2")
+         ._in_field(_ARITH_VARS).numer)  # rank 2, -7 not a square
+@example(parse("(x1 + x2)^2 - 9*(x3 - x4)^2")._in_field(_ARITH_VARS).numer)
+@example(parse("x1*x2 + x1 + x2 + 1")._in_field(_ARITH_VARS).numer)
+def test_irreducibility_certificates_agree_with_factor_list(p):
+    if _proved_irreducible(p):
+        _, factors = p.factor_list()
+        assert len(factors) == 1 and factors[0][1] == 1

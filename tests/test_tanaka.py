@@ -11,6 +11,7 @@ from engelkit import linalg
 from engelkit.cubicalg import rho_prime
 from engelkit.tanaka import (
     _boundary_matrix,
+    _Prolongation,
     cochain_dims,
     cohomology_dim,
     extend_to_derivation,
@@ -56,6 +57,19 @@ class TestProlongation:
         assert table.terminated
         # grading component dims 1, 4, 4, 4, 1 of the full algebra
         assert (1, 4, table.g0_dim) + table.degree_dims[:2] == (1, 4, 4, 4, 1)
+
+    @pytest.mark.parametrize("g0", [GL2, BOREL], ids=["gl2", "borel"])
+    def test_each_bracket_is_computed_once(self, g0, monkeypatch):
+        calls = []
+        apply = _Prolongation.apply
+
+        def counting(self, level, coords, arg_level, arg):
+            calls.append((level, tuple(coords), arg_level, tuple(arg)))
+            return apply(self, level, coords, arg_level, arg)
+
+        monkeypatch.setattr(_Prolongation, "apply", counting)
+        tanaka_prolong(g0)
+        assert calls and len(calls) == len(set(calls))
 
     def test_borel_reproduces_parabolic_dims(self):
         table = tanaka_prolong(BOREL)

@@ -279,6 +279,8 @@ def _cmd_g2(args, report: Report) -> None:
     forms = g2alg.invariant_forms()
     n_equations = 14 - len(mc.mismatches)
     report.results["structure_equations"] = f"{n_equations}/14 matched"
+    if mc.mismatches:
+        report.results["mismatched_equations"] = [f"dtheta^{k}" for k in sorted(mc.mismatches)]
     report.results["jacobi"] = f"{364 - len(violations)}/364 triples"
     report.results["grading"] = grading.grading_holds and grading.additivity_holds
     report.results["parabolics_closed"] = (grading.parabolic_p2.closed
@@ -327,6 +329,12 @@ def _cmd_tanaka_prolong(args, report: Report) -> None:
     report.results["total_dimension"] = table.total_dimension
     if not table.terminated:
         report.results["truncated"] = True
+    if args.g0 == "gl2":
+        # gl2 prolongs to G2, with grades 1, 2, 3 of dimensions 4, 1, 0
+        expected = [4, 1, 0][:args.max_degree]
+        if list(table.degree_dims) != expected:
+            report.results["failures"] = [f"degree_dims != {expected}, the grades of G2"]
+            report.status = FAILED
     if args.g0 == "borel":
         report.results["matches_parabolic"] = tanaka.prolongation_matches_parabolic()
         if not report.results["matches_parabolic"]:

@@ -5,6 +5,18 @@ The cubic is the image of the degree-three Veronese map in projective
 4-dimensional irreducible representation of GL(2), the conformal symplectic
 form singled out by the Legendrian condition, and the stabilizer subalgebra
 of the cubic cone -- all over exact rationals.
+
+Both linear systems are read off as integer convolutions of Veronese
+monomials, with no polynomial arithmetic.  The stabilizer's row ``(Q, d)``
+holds the coefficient of ``s^(6-d) u^d`` in ``v^T (Q m + m^T Q) v`` for
+``v = (s^3, s^2 u, s u^2, u^3)``: since ``v_i v_k = s^(6-i-k) u^(i+k)``, the
+entry at the unknown ``m_jk`` is ``2 Q[d-k][j]`` (zero unless
+``0 <= d-k <= 3``).  The symplectic row ``e`` holds the coefficient of
+``s^(4-e) u^e`` in ``w(X, Y)`` for the tangent vectors ``X = (3s^2, 2su, u^2,
+0)`` and ``Y = (0, s^2, 2su, 3u^2)``; ``X_i`` has ``u``-degree ``i`` and
+``Y_j`` has ``j - 1``, so the pair ``(i, j)`` enters row ``i + j - 1`` only.
+Rows differing by nonzero factors and order span the same space, so the
+kernels are those of the coefficient extraction by differentiation.
 """
 
 from __future__ import annotations
@@ -14,7 +26,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .symexpr import Expr, integer, symbol
 
 __all__ = [
     "veronese",
@@ -71,17 +82,17 @@ def irrep_rho(m: Sequence[Sequence]) -> list[list]:
 def rho_prime(m: Sequence[Sequence[Fraction]]) -> Mat:
     """Derivative of the representation at the identity, applied to a 2x2 matrix.
 
-    Computed exactly by differentiating the image of 1 + eps*m at eps = 0.
+    The closed-form derivative of :func:`irrep_rho` along ``1 + eps*m``.
     """
-    eps = symbol("eps")
-    perturbed = [[integer(1) + eps * Fraction(m[0][0]), eps * Fraction(m[0][1])],
-                 [eps * Fraction(m[1][0]), integer(1) + eps * Fraction(m[1][1])]]
-    image = irrep_rho(perturbed)
-    out = []
-    for row in image:
-        out.append([entry.partial("eps").substitute({"eps": 0}).as_fraction()
-                    for entry in row])
-    return out
+    a, b = Fraction(m[0][0]), Fraction(m[0][1])
+    g, d = Fraction(m[1][0]), Fraction(m[1][1])
+    zero = Fraction(0)
+    return [
+        [3 * a, 3 * b, zero, zero],
+        [g, 2 * a + d, 2 * b, zero],
+        [zero, 2 * g, a + 2 * d, b],
+        [zero, zero, 3 * g, 3 * d],
+    ]
 
 
 def gl2_basis() -> list[Mat]:
@@ -121,29 +132,21 @@ class SymplecticSolution:
 
 _PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
+#: coefficients of X = (3s^2, 2su, u^2, 0) and Y = (0, s^2, 2su, 3u^2)
+_X = (3, 2, 1, 0)
+_Y = (0, 1, 2, 3)
+
 
 def legendrian_symplectic() -> SymplecticSolution:
     """Skew forms vanishing on the tangent planes of the cubic cone.
 
-    Evaluates the form on the two tangent vectors of the cone at the symbolic
-    parameter point and solves the linear system given by the coefficients of
-    the parameter monomials.
+    Evaluates the form on the two tangent vectors of the cone at the generic
+    parameter point and solves the linear system given by the coefficients
+    of the parameter monomials.
     """
-    s, u = symbol("s"), symbol("u")
-    X = [3 * s ** 2, 2 * s * u, u ** 2, integer(0)]
-    Y = [integer(0), s ** 2, 2 * s * u, 3 * u ** 2]
-    unknowns = [symbol(f"w{i}{j}") for i, j in _PAIRS]
-    value = integer(0)
-    for (i, j), w in zip(_PAIRS, unknowns):
-        value = value + w * (X[i] * Y[j] - X[j] * Y[i])
-    rows = []
-    for deg_s in range(5):
-        coeff = value
-        for _ in range(deg_s):
-            coeff = coeff.partial("s")
-        for _ in range(4 - deg_s):
-            coeff = coeff.partial("u")
-        rows.append([coeff.partial(f"w{i}{j}").as_fraction() for i, j in _PAIRS])
+    rows = [[0] * len(_PAIRS) for _ in range(5)]
+    for col, (i, j) in enumerate(_PAIRS):
+        rows[i + j - 1][col] = _X[i] * _Y[j] - _X[j] * _Y[i]
     basis = linalg.nullspace(rows)
     return SymplecticSolution([dict(zip(_PAIRS, vec)) for vec in basis])
 
@@ -155,25 +158,14 @@ def stabilizer_subalgebra() -> list[Mat]:
     vanish on the cone, i.e. v(s,u)^T (Q m + m^T Q) v(s,u) = 0 identically in
     the parameters for each quadric Q.
     """
-    s, u = symbol("s"), symbol("u")
-    v = veronese(s, u)
-    unknowns = [[symbol(f"m{i}{j}") for j in range(4)] for i in range(4)]
     rows = []
     for Q in _QUADRICS:
-        value = integer(0)
-        for i in range(4):
+        for d in range(7):
+            row = []
             for j in range(4):
                 for k in range(4):
-                    value = value + v[i] * Fraction(Q[i][j]) * unknowns[j][k] * v[k] * 2
-        # collect coefficients of every parameter monomial s^a u^b, a+b = 6
-        for deg_s in range(7):
-            coeff = value
-            for _ in range(deg_s):
-                coeff = coeff.partial("s")
-            for _ in range(6 - deg_s):
-                coeff = coeff.partial("u")
-            rows.append([coeff.partial(f"m{i}{j}").as_fraction()
-                         for i in range(4) for j in range(4)])
+                    row.append(2 * Q[d - k][j] if 0 <= d - k <= 3 else 0)
+            rows.append(row)
     basis_vectors = linalg.nullspace(rows)
     return [[vec[4 * i: 4 * i + 4] for i in range(4)] for vec in basis_vectors]
 

@@ -4,6 +4,21 @@ Works for both :class:`fractions.Fraction` and :class:`engelkit.symexpr.Expr`
 entries (the latter giving generic-point results over the rational-function
 field).  Matrices are plain lists of lists; all routines are pure.
 
+Over Q -- every entry an ``int`` or a ``Fraction`` -- elimination runs in
+integers.  Each row is scaled by the lcm of its denominators; Gauss-Jordan
+then replaces a row by ``(p/g)*row - (f/g)*pivot``, with ``p`` the pivot,
+``f`` the row's entry in the pivot column and ``g = gcd(p, f)``, and divides
+the row by its content.  Row scaling and row operations do not change the
+row space, and the reduced row echelon form of a row space, with its pivot
+list, is unique; so dividing each pivot row by its pivot at the end gives
+exactly the reduced form of Gauss-Jordan over ``Fraction``, and every result
+entry is built once, as ``Fraction(x, pivot)``.  ``rank`` stops at echelon
+form.  ``det`` over Q is Bareiss's fraction-free elimination ("Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 22, 1968) on the cleared rows, divided by the product of the row
+scales.  ``int`` entries are rationals here: results over Q are
+``Fraction``s, never floats.
+
 The matrices met here are mostly zeros, so every routine does its
 arithmetic on nonzero entries only: products and dot products skip a
 term with a zero factor, and Gauss-Jordan elimination divides and
@@ -20,9 +35,14 @@ and ``Expr.__bool__`` is ``not is_zero``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from math import gcd, lcm, prod
+from typing import Sequence
 
 Matrix = list[list]
+
+_RATIONAL_TYPES = frozenset((int, Fraction))
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def copy_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -76,11 +96,87 @@ def transpose(rows: Sequence[Sequence]) -> Matrix:
     return [list(col) for col in zip(*rows)]
 
 
+def _rational(rows: Sequence[Sequence]) -> bool:
+    """Whether every entry is an ``int`` or a ``Fraction``: the Q path."""
+    return all(_RATIONAL_TYPES.issuperset(map(type, row)) for row in rows)
+
+
+def _cleared(row: Sequence) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, as ints, and that lcm."""
+    pairs = [x.as_integer_ratio() for x in row]
+    scale = lcm(*[d for _, d in pairs])
+    if scale == 1:
+        return [n for n, _ in pairs], 1
+    return [n * (scale // d) for n, d in pairs], scale
+
+
+def _integer_echelon(rows: Sequence[Sequence], reduced: bool) -> tuple[list[list[int]], list[int]]:
+    """Integer rows with the row space of the rational ``rows``, in echelon
+    form (reduced: zero above every pivot as well), and the pivot columns.
+
+    Row ``r`` has its pivot, positive, in column ``pivots[r]``; dividing it by
+    that pivot gives row ``r`` of the reduced row echelon form.
+    """
+    m = [_cleared(row)[0] for row in rows]
+    n_rows, n_cols = len(m), len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        for i in range(r, n_rows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        pivot = m[i]
+        m[i] = m[r]
+        g = gcd(*pivot)
+        if pivot[c] < 0:
+            g = -g
+        if g != 1:
+            pivot = [x // g for x in pivot]
+        m[r] = pivot
+        p = pivot[c]
+        # columns before c are zero in every row from r on
+        support = [(j, x) for j in range(c + 1, n_cols) if (x := pivot[j])]
+        for i in range(0 if reduced else r + 1, n_rows):
+            row = m[i]
+            f = row[c]
+            if i == r or not f:
+                continue
+            g = gcd(p, f)
+            if g != p:
+                scale = p // g
+                row = [scale * x for x in row]
+            f //= g
+            row[c] = 0
+            for j, x in support:
+                row[j] -= f * x
+            g = gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+            m[i] = row
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return m, pivots
+
+
+def _over_pivot(row: Sequence[int], pivot: int) -> list[Fraction]:
+    return [Fraction(x, pivot) if x else _ZERO for x in row]
+
+
 def row_echelon(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
+    if not rows:
+        return [], []
+    if _rational(rows):
+        m, pivots = _integer_echelon(rows, reduced=True)
+        ech = [_over_pivot(row, row[c]) for row, c in zip(m, pivots)]
+        # the rows past the rank are zero
+        ech.extend([_ZERO] * len(m[0]) for _ in range(len(m) - len(pivots)))
+        return ech, pivots
     m = copy_matrix(rows)
-    if not m:
-        return m, []
     n_rows, n_cols = len(m), len(m[0])
     pivots: list[int] = []
     r = 0
@@ -115,6 +211,8 @@ def row_echelon(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 def rank(rows: Sequence[Sequence]) -> int:
     if not rows:
         return 0
+    if _rational(rows):
+        return len(_integer_echelon(rows, reduced=False)[1])
     _, pivots = row_echelon(rows)
     return len(pivots)
 
@@ -127,6 +225,17 @@ def nullspace(rows: Sequence[Sequence], n_cols: int | None = None) -> list[list]
         return [[Fraction(1) if i == j else Fraction(0) for j in range(n_cols)]
                 for i in range(n_cols)]
     n_cols = len(rows[0])
+    if _rational(rows):
+        m, pivots = _integer_echelon(rows, reduced=True)
+        basis = []
+        for fc in (c for c in range(n_cols) if c not in pivots):
+            vec = [_ZERO] * n_cols
+            vec[fc] = _ONE
+            for row, pc in zip(m, pivots):
+                if row[fc]:
+                    vec[pc] = Fraction(-row[fc], row[pc])
+            basis.append(vec)
+        return basis
     ech, pivots = row_echelon(rows)
     zero = rows[0][0] - rows[0][0]
     one = zero + 1
@@ -150,6 +259,15 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> list | None:
         return None
     n_cols = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    if _rational(aug):
+        m, pivots = _integer_echelon(aug, reduced=True)
+        if n_cols in pivots:
+            return None
+        sol = [_ZERO] * n_cols
+        for row, pc in zip(m, pivots):
+            if row[n_cols]:
+                sol[pc] = Fraction(row[n_cols], row[pc])
+        return sol
     ech, pivots = row_echelon(aug)
     zero = rhs[0] - rhs[0]
     if n_cols in pivots:
@@ -162,17 +280,52 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> list | None:
 
 def inverse(rows: Sequence[Sequence]) -> Matrix:
     n = len(rows)
+    if not n:
+        return []
     zero = rows[0][0] - rows[0][0]
     one = zero + 1
     aug = [list(r) + [one if i == j else zero for j in range(n)]
            for i, r in enumerate(rows)]
-    ech, pivots = row_echelon(aug)
+    rational = _rational(aug)
+    ech, pivots = _integer_echelon(aug, reduced=True) if rational else row_echelon(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is not invertible")
+    if rational:
+        return [_over_pivot(row[n:], row[i]) for i, row in enumerate(ech)]
     return [row[n:] for row in ech]
 
 
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, eliminated in place without
+    fractions: each step's entries are minors, so the division is exact."""
+    n = len(m)
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        for i in range(k, n):
+            if m[i][k]:
+                break
+        else:
+            return 0
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        pivot = m[k]
+        p = pivot[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                x, y = row[j], pivot[j]
+                if x or (f and y):
+                    row[j] = (p * x - f * y) // previous
+        previous = p
+    return sign * m[-1][-1] if n else 1
+
+
 def det(rows: Sequence[Sequence]):
+    if _rational(rows):
+        cleared = [_cleared(row) for row in rows]
+        return Fraction(_bareiss([ints for ints, _ in cleared]),
+                        prod(scale for _, scale in cleared))
     n = len(rows)
     m = copy_matrix(rows)
     zero = rows[0][0] - rows[0][0]
@@ -270,7 +423,7 @@ def signature_symmetric(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, i
                     m[k][j] += m[off][j]
                 for i in range(n):
                     m[i][k] += m[i][off]
-        d = m[k][k]
+        d = Fraction(m[k][k])  # an int pivot would divide into floats
         if d > 0:
             pos += 1
         else:

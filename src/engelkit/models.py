@@ -47,9 +47,6 @@ class ConstantStructureSystem:
         return LieAlgebraSC(self.dim, tuple(f"e{i}" for i in range(self.dim)),
                             constants)
 
-    def two_form(self, k: int) -> dict[tuple[int, int], Fraction]:
-        return dict(self.coefficients.get(k, {}))
-
     def second_derivative(self, k: int) -> dict[tuple[int, int, int], Fraction]:
         """Coefficients of the 3-form d(dtheta^k)."""
         out: dict[tuple[int, int, int], Fraction] = {}
@@ -125,9 +122,11 @@ def _centroid(alg: LieAlgebraSC) -> list[list[list[Fraction]]]:
     n = alg.dim
     rows = []
     basis = linalg.identity(n)
+    # bracket[a][b] = [e_a, e_b], each ordered pair bracketed once
+    bracket = [[alg.bracket(basis[a], basis[b]) for b in range(n)] for a in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            bij = alg.bracket(basis[i], basis[j])
+            bij = bracket[i][j]
             for target in range(n):
                 row1 = [F(0)] * (n * n)
                 row2 = [F(0)] * (n * n)
@@ -136,10 +135,8 @@ def _centroid(alg: LieAlgebraSC) -> list[list[list[Fraction]]]:
                     row1[target * n + s] += bij[s]
                     row2[target * n + s] += bij[s]
                 for m in range(n):
-                    bmj = alg.bracket(basis[m], basis[j])
-                    row1[m * n + i] -= bmj[target]
-                    bim = alg.bracket(basis[i], basis[m])
-                    row2[m * n + j] -= bim[target]
+                    row1[m * n + i] -= bracket[m][j][target]
+                    row2[m * n + j] -= bracket[i][m][target]
                 rows.append(row1)
                 rows.append(row2)
     sols = linalg.nullspace(rows, n_cols=alg.dim ** 2)

@@ -94,7 +94,7 @@ def test_criterion_05_oracle_equivalence():
         assert closed.J == -acf.frame[4].apply(acf.t)
     _report(5, "20 seeded markings: closed-form and structure-equation routes "
                "agree on all ten invariants; J matches the coordinate "
-               "polynomial and the frame derivative", started, budget=60.0)
+               "polynomial and the frame derivative", started, budget=10.0)
 
 
 def test_criterion_06_geometry_battery():
@@ -143,7 +143,7 @@ def test_criterion_08_flat_reduction():
     rep = engel.verify_flat_reduction()
     assert rep.all_zero(), rep.failures()
     _report(8, "all nine structure-bundle equations vanish identically on the "
-               "9-variable chart", started, budget=120.0)
+               "9-variable chart", started, budget=10.0)
 
 
 def test_criterion_09_tanaka():
@@ -165,7 +165,7 @@ def test_criterion_09_tanaka():
     _report(9, "prolongations total 14 and 9; first cohomology vanishes; "
                "second cohomology dims 8 and 9; image dims 16/15; every "
                "invariant line sits inside the parabolic image", started,
-            budget=60.0)
+            budget=5.0)
 
 
 def test_criterion_10_homogeneous_models():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -287,3 +288,80 @@ class TestReports:
                             "x0=0,x1=0,x2=0,x3=2,x4=0"])
         assert code == 0
         assert report.results["path"][0] == "J != 0"
+
+
+class TestInjectedFaults:
+    """One corrupted coefficient per command: each must exit 1 with
+    ``verification-failed``, and name what failed."""
+
+    @staticmethod
+    def assert_failed(argv):
+        code, report = run(argv)
+        assert code == 1 and report.status == "verification-failed"
+        assert report.results.get("pass") is not True
+        return report
+
+    def test_cubic_quadric_coefficient(self, monkeypatch):
+        import copy
+
+        from engelkit import cubicalg
+
+        quadrics = copy.deepcopy(cubicalg._QUADRICS)
+        quadrics[0][1][1] = -2  # q1 = p1 p3 - 2 p2^2 misses the cubic
+        monkeypatch.setattr(cubicalg, "_QUADRICS", quadrics)
+        report = self.assert_failed(["cubic", "verify"])
+        assert report.results["stabilizer_matches_representation"] is False
+
+    def test_models_structure_constant(self, monkeypatch):
+        from dataclasses import replace
+
+        from engelkit import models
+
+        catalogue = models.catalogue
+
+        def corrupted():
+            systems = catalogue()
+            first = systems[0]
+            coefficients = {k: dict(eq) for k, eq in first.coefficients.items()}
+            coefficients[1][(1, 5)] += 1
+            systems[0] = replace(first, coefficients=coefficients)
+            return systems
+
+        monkeypatch.setattr(models, "catalogue", corrupted)
+        report = self.assert_failed(["models", "check"])
+        assert report.results["systems"]["six-dim-nonintegrable"]["closed"] is False
+        assert report.results["systems"]["six-dim-split"]["closed"] is True
+
+    def test_g2_structure_constant(self, monkeypatch):
+        from engelkit import g2alg
+
+        equation = dict(g2alg.MAURER_CARTAN[2])
+        equation[(1, 6)] += 1
+        monkeypatch.setitem(g2alg.MAURER_CARTAN, 2, equation)
+        report = self.assert_failed(["g2", "verify"])
+        assert report.results["structure_equations"] == "13/14 matched"
+        assert report.results["mismatched_equations"] == ["dtheta^2"]
+
+    def test_tanaka_gl2_basis_matrix(self, monkeypatch):
+        from engelkit import cubicalg
+
+        # E_03 is a symplectic derivation and span(rho'(E11), rho'(E12),
+        # E_03, rho'(E22)) a subalgebra, so g0 is valid but not the cubic's gl2
+        basis = cubicalg.gl2_basis()
+        basis[2] = [[Fraction(1) if (i, j) == (0, 3) else Fraction(0)
+                     for j in range(4)] for i in range(4)]
+        monkeypatch.setattr(cubicalg, "gl2_basis", lambda: basis)
+        report = self.assert_failed(["tanaka", "prolong", "--g0", "gl2"])
+        assert report.results["degree_dims"] != [4, 1, 0]
+        assert report.results["failures"] == ["degree_dims != [4, 1, 0], the grades of G2"]
+
+    def test_tanaka_gl2_truncated_depths_pass(self):
+        for depth in range(6):
+            code, report = run(["tanaka", "prolong", "--g0", "gl2",
+                                "--max-degree", str(depth)])
+            assert code == 0 and "failures" not in report.results
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_cubic_passes_on_seeds(self, seed):
+        code, report = run(["cubic", "verify", "--seed", str(seed)])
+        assert code == 0 and report.results["pass"] is True

@@ -16,10 +16,104 @@ from engelkit.cubicalg import (
     stabilizer_subalgebra,
     veronese,
 )
+from engelkit.symexpr import integer, symbol
 
 
 def random_int_matrix(rng, n=2, lo=-4, hi=4):
     return [[Fraction(rng.randint(lo, hi)) for _ in range(n)] for _ in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# reference: the systems built from Expr polynomials, coefficients read off
+# by differentiation (a row per monomial, times its factorials)
+# ---------------------------------------------------------------------------
+
+_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+_QUADRICS = [
+    [[0, 0, Fraction(1, 2), 0], [0, -1, 0, 0], [Fraction(1, 2), 0, 0, 0], [0, 0, 0, 0]],
+    [[0, 0, 0, 0], [0, 0, 0, Fraction(1, 2)], [0, 0, -1, 0], [0, Fraction(1, 2), 0, 0]],
+    [[0, 0, 0, Fraction(-1, 2)], [0, 0, Fraction(1, 2), 0],
+     [0, Fraction(1, 2), 0, 0], [Fraction(-1, 2), 0, 0, 0]],
+]
+
+
+def _monomial_rows(value, degree, unknowns):
+    rows = []
+    for deg_s in range(degree + 1):
+        coeff = value
+        for _ in range(deg_s):
+            coeff = coeff.partial("s")
+        for _ in range(degree - deg_s):
+            coeff = coeff.partial("u")
+        rows.append([coeff.partial(name).as_fraction() for name in unknowns])
+    return rows
+
+
+def expr_rho_prime(m):
+    eps = symbol("eps")
+    perturbed = [[integer(1) + eps * Fraction(m[0][0]), eps * Fraction(m[0][1])],
+                 [eps * Fraction(m[1][0]), integer(1) + eps * Fraction(m[1][1])]]
+    return [[entry.partial("eps").substitute({"eps": 0}).as_fraction() for entry in row]
+            for row in irrep_rho(perturbed)]
+
+
+def expr_symplectic_basis():
+    s, u = symbol("s"), symbol("u")
+    X = [3 * s ** 2, 2 * s * u, u ** 2, integer(0)]
+    Y = [integer(0), s ** 2, 2 * s * u, 3 * u ** 2]
+    value = integer(0)
+    for i, j in _PAIRS:
+        value = value + symbol(f"w{i}{j}") * (X[i] * Y[j] - X[j] * Y[i])
+    rows = _monomial_rows(value, 4, [f"w{i}{j}" for i, j in _PAIRS])
+    return [dict(zip(_PAIRS, vec)) for vec in linalg.nullspace(rows)]
+
+
+def expr_stabilizer(quadrics=_QUADRICS):
+    s, u = symbol("s"), symbol("u")
+    v = veronese(s, u)
+    unknowns = [[symbol(f"m{i}{j}") for j in range(4)] for i in range(4)]
+    rows = []
+    for Q in quadrics:
+        value = integer(0)
+        for i in range(4):
+            for j in range(4):
+                for k in range(4):
+                    value = value + v[i] * Fraction(Q[i][j]) * unknowns[j][k] * v[k] * 2
+        rows.extend(_monomial_rows(value, 6, [f"m{i}{j}" for i in range(4) for j in range(4)]))
+    return [[vec[4 * i: 4 * i + 4] for i in range(4)] for vec in linalg.nullspace(rows)]
+
+
+def typed(value):
+    if isinstance(value, (list, tuple)):
+        return [typed(x) for x in value]
+    if isinstance(value, dict):
+        return {k: typed(x) for k, x in value.items()}
+    return (type(value).__name__, value)
+
+
+class TestAgainstExprReference:
+    def test_rho_prime(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            m = [[rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+                  for _ in range(2)] for _ in range(2)]
+            assert typed(rho_prime(m)) == typed(expr_rho_prime(m))
+
+    def test_symplectic(self):
+        assert typed(legendrian_symplectic().basis) == typed(expr_symplectic_basis())
+
+    def test_stabilizer(self):
+        assert typed(stabilizer_subalgebra()) == typed(expr_stabilizer())
+
+    def test_stabilizer_of_a_corrupted_quadric(self, monkeypatch):
+        import copy
+
+        from engelkit import cubicalg
+
+        quadrics = copy.deepcopy(_QUADRICS)
+        quadrics[2][0][3] = quadrics[2][3][0] = Fraction(1, 2)
+        monkeypatch.setattr(cubicalg, "_QUADRICS", quadrics)
+        assert typed(stabilizer_subalgebra()) == typed(expr_stabilizer(quadrics))
 
 
 class TestVeronese:

@@ -8,6 +8,7 @@ entries: equal ``Fraction``s of the same type, and ``Expr``s with the same
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -249,3 +250,134 @@ def test_expr_inverse_and_det_match_dense(a):
     else:
         assert_same(linalg.inverse(a), want)
 
+
+
+# ---------------------------------------------------------------------------
+# the Q path: integer elimination against the dense Fraction references
+# ---------------------------------------------------------------------------
+
+_BIG = 2 ** 64
+
+
+def as_fractions(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def rational(rnd, kind, big):
+    """A nonzero ``int`` or ``Fraction``; ``big`` allows numerators and
+    denominators up to 2^64."""
+    bound = _BIG if big else 9
+    num = rnd.choice([-1, 1]) * rnd.randint(1, bound)
+    if kind == "int" or (kind == "mixed" and rnd.random() < 0.5):
+        return num
+    return Fraction(num, rnd.randint(1, bound))
+
+
+@st.composite
+def rational_matrices(draw, rows=None, cols=None):
+    """``int``-only, ``Fraction``-only or mixed matrices at 5-40% density,
+    mostly up to 8 x 12 and at times up to 30 x 40 (tall ones too, as in
+    ``invariant_forms``), with zero rows, zero columns and duplicated rows
+    mixed in.  The entries come from a seeded generator, which is much
+    faster to draw than one strategy per entry."""
+    largest = (30, 40) if draw(st.integers(0, 4)) == 0 else (8, 12)
+    n = rows if rows is not None else draw(st.integers(1, largest[0]))
+    m = cols if cols is not None else draw(st.integers(1, largest[1]))
+    kind = draw(st.sampled_from(["int", "fraction", "mixed"]))
+    big = draw(st.booleans())
+    density = draw(st.integers(5, 40))
+    rnd = draw(st.randoms(use_true_random=False))
+    zero = 0 if kind == "int" or (kind == "mixed" and draw(st.booleans())) else Fraction(0)
+    mat = [[rational(rnd, kind, big) if rnd.randrange(100) < density else zero
+            for _ in range(m)] for _ in range(n)]
+    if draw(st.booleans()):
+        mat[draw(st.integers(0, n - 1))] = [zero] * m
+    if draw(st.booleans()):
+        col = draw(st.integers(0, m - 1))
+        for row in mat:
+            row[col] = zero
+    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        mat[dst] = list(mat[src])
+    return mat
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_rational_elimination_matches_dense(a):
+    want_ech, want_pivots = dense_row_echelon(as_fractions(a))
+    assert_same(linalg.row_echelon(a), (want_ech, want_pivots))
+    assert linalg.rank(a) == len(want_pivots)
+    assert_same(linalg.nullspace(a), dense_nullspace(as_fractions(a)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rational_solve_matches_dense(data):
+    a = data.draw(rational_matrices())
+    x = data.draw(rational_matrices(rows=1, cols=len(a[0])))[0]
+    consistent = linalg.mat_vec(a, x)
+    assert_same(linalg.solve(a, consistent), dense_solve(as_fractions(a), as_fractions([consistent])[0]))
+    sol = linalg.solve(a, consistent)
+    assert sol is not None and linalg.mat_vec(a, sol) == consistent
+    rhs = data.draw(rational_matrices(rows=1, cols=len(a)))[0]
+    assert_same(linalg.solve(a, rhs), dense_solve(as_fractions(a), as_fractions([rhs])[0]))
+    # a repeated equation with another right-hand side has no solution
+    assert linalg.solve(a + [a[0]], consistent + [consistent[0] + 1]) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rational_inverse_and_det_match_dense(data):
+    n = data.draw(st.integers(1, 12))
+    a = data.draw(rational_matrices(rows=n, cols=n))
+    rnd, big = data.draw(st.randoms(use_true_random=False)), data.draw(st.booleans())
+    if data.draw(st.booleans()):
+        for i, j in enumerate(data.draw(st.permutations(range(n)))):
+            a[i][j] = rational(rnd, "mixed", big)
+    assert_same(linalg.det(a), dense_det(as_fractions(a)))
+    try:
+        want = dense_inverse(as_fractions(a))
+    except ValueError:
+        with pytest.raises(ValueError):
+            linalg.inverse(a)
+    else:
+        assert_same(linalg.inverse(a), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_integer_echelon_rows_are_primitive(a):
+    """Every row the integer elimination leaves is primitive, each pivot
+    positive; the content division is what keeps the entries small."""
+    for reduced in (False, True):
+        m, pivots = linalg._integer_echelon(a, reduced=reduced)
+        assert all(m[r][c] > 0 for r, c in enumerate(pivots))
+        for row in m:
+            assert math.gcd(*row) in (0, 1)
+
+
+class TestIntegerInputIsExact:
+    """``int`` entries are rationals: the results are ``Fraction``s, never
+    floats, also where a float would round."""
+
+    def test_nullspace(self):
+        assert_same(linalg.nullspace([[1, 2], [2, 4]]), [[Fraction(-2), Fraction(1)]])
+
+    def test_det(self):
+        assert_same(linalg.det([[1, 2], [3, 4]]), Fraction(-2))
+        big = 10 ** 17
+        assert_same(linalg.det([[big + 1, big], [big, big - 1]]), Fraction(-1))
+
+    def test_solve(self):
+        assert_same(linalg.solve([[2, 0], [0, 3]], [1, 1]), [Fraction(1, 2), Fraction(1, 3)])
+
+    def test_signature(self):
+        big = 10 ** 17
+        # the exact determinant is 1, so both eigenvalues are positive
+        assert linalg.signature_symmetric([[1, big], [big, big ** 2 + 1]]) == (2, 0, 0)
+        assert linalg.signature_symmetric([[0, 1], [1, 0]]) == (1, 1, 0)
+
+    def test_empty(self):
+        assert linalg.det([]) == 1
+        assert linalg.inverse([]) == []

@@ -317,8 +317,8 @@ def test_rational_solve_matches_dense(data):
     a = data.draw(rational_matrices())
     x = data.draw(rational_matrices(rows=1, cols=len(a[0])))[0]
     consistent = linalg.mat_vec(a, x)
-    assert_same(linalg.solve(a, consistent), dense_solve(as_fractions(a), as_fractions([consistent])[0]))
     sol = linalg.solve(a, consistent)
+    assert_same(sol, dense_solve(as_fractions(a), as_fractions([consistent])[0]))
     assert sol is not None and linalg.mat_vec(a, sol) == consistent
     rhs = data.draw(rational_matrices(rows=1, cols=len(a)))[0]
     assert_same(linalg.solve(a, rhs), dense_solve(as_fractions(a), as_fractions([rhs])[0]))

@@ -33,7 +33,6 @@ from fractions import Fraction
 from typing import Any
 
 from . import cubicalg, engel, g2alg, kerr, models, symexpr, tanaka
-from .forms import distribution_growth
 from .symexpr import ExprError, parse
 
 __all__ = ["main", "run", "Report"]
@@ -172,8 +171,7 @@ def _cmd_classify(args, report: Report) -> None:
 def _cmd_growth(args, report: Report) -> None:
     t = parse(args.t)
     report.inputs["t"] = args.t
-    frame = engel.adapted_coframe(t).frame
-    growth = distribution_growth([frame[3], frame[4]])
+    growth = engel.tangent_growth(t)
     report.results["growth"] = list(growth)
     report.results["integrable"] = growth[-1] == 2
 
@@ -353,10 +351,11 @@ def _cmd_tanaka_cohomology(args, report: Report) -> None:
         if value is not None:
             raise _InputError(f"{option} needs --degree; without it the "
                               "fixed battery runs")
+    ranks: dict = {}  # C^1_1 -> C^2_1 of g serves H^1 at l = 1 and H^2
     battery = {
-        "H1_full_l1..l4": [tanaka.cohomology_dim("g", 1, l) for l in (1, 2, 3, 4)],
-        "H2_full_hom1": tanaka.cohomology_dim("g", 2, 1),
-        "H2_parabolic_hom1": tanaka.cohomology_dim("q", 2, 1),
+        "H1_full_l1..l4": [tanaka.cohomology_dim("g", 1, l, ranks) for l in (1, 2, 3, 4)],
+        "H2_full_hom1": tanaka.cohomology_dim("g", 2, 1, ranks),
+        "H2_parabolic_hom1": tanaka.cohomology_dim("q", 2, 1, ranks),
     }
     report.results.update(battery)
     ok = (battery["H1_full_l1..l4"] == [0, 0, 0, 0]

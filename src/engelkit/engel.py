@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from . import linalg
+from . import jets, linalg
 from .forms import (
     Chart,
     CoframeChart,
@@ -74,6 +74,7 @@ __all__ = [
     "classify",
     "classify_at",
     "geometric_checks",
+    "tangent_growth",
     "tautological_forms",
     "verify_flat_reduction",
 ]
@@ -120,8 +121,9 @@ class MarkedStructure:
 class AdaptedCoframe:
     """The five adapted 1-forms, their exact dual frame and the closed-form jet.
 
-    The frame is built at most once per object; the jet is memoised on it by
-    :func:`invariants_closed_form`.  Both die with the object.
+    The frame, and its Taylor jets at the seeded point of F_P, are built at
+    most once per object; the jet is memoised on it by
+    :func:`invariants_closed_form`.  All die with the object.
     """
 
     t: Expr
@@ -136,6 +138,28 @@ class AdaptedCoframe:
     @cached_property
     def frame(self) -> list[VectorField]:
         return self.coframe.dual_frame()
+
+    @cached_property
+    def frame_jets(self) -> tuple[list[VectorField], DifferentialForm] | None:
+        """The dual frame and w0 as order-3 jets at the seeded point of F_P.
+
+        Free parameters take seeded values too.  None when a denominator
+        vanishes there mod P.
+        """
+        chart = self.coframe.chart
+        free = tuple(v.name for v in self.t.occurring_vars() if v.kind is VarKind.FREE)
+        values = {name: jets.point_value(name) for name in chart.names + free}
+
+        def jet(e: Expr) -> jets.Jet:
+            return jets.Jet.from_expr(e, chart.names, values)
+
+        try:
+            frame = [VectorField(chart, [jet(c) for c in X.comps]) for X in self.frame]
+            theta = DifferentialForm(chart, 1, {idx: jet(c)
+                                                for idx, c in self.omega[0].comps.items()})
+        except ZeroDivisionError:
+            return None
+        return frame, theta
 
     def volume(self) -> DifferentialForm:
         out = self.omega[0]
@@ -482,13 +506,51 @@ def classify_at(t: Expr | MarkedStructure | AdaptedCoframe,
 # ---------------------------------------------------------------------------
 
 
-def _brackets_stay_in_span(fields: Sequence[VectorField]) -> bool:
+class _BracketTable:
+    """Lie brackets of one marking's fields, each formed once.
+
+    [Y, X] is read as -[X, Y].  Fields are keyed by identity, and the table
+    holds them, so no key is reused while it lives.
+    """
+
+    def __init__(self):
+        self._table: dict[tuple[int, int], tuple[VectorField, VectorField, VectorField]] = {}
+
+    def __call__(self, X: VectorField, Y: VectorField) -> VectorField:
+        entry = self._table.get((id(X), id(Y)))
+        if entry is not None:
+            return entry[2]
+        swapped = self._table.get((id(Y), id(X)))
+        result = -swapped[2] if swapped is not None else lie_bracket(X, Y)
+        self._table[(id(X), id(Y))] = (X, Y, result)
+        return result
+
+
+def _brackets_stay_in_span(fields: Sequence[VectorField], bracket) -> bool:
     base = [list(X.comps) for X in fields]
     extended = list(base)
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
-            extended.append(list(lie_bracket(fields[i], fields[j]).comps))
+            extended.append(list(bracket(fields[i], fields[j]).comps))
     return certified_rank(extended) == certified_rank(base)
+
+
+def _derived(osculating: Sequence[VectorField], bracket) -> list[VectorField]:
+    """The osculating fields and their pairwise brackets."""
+    return list(osculating) + [bracket(osculating[i], osculating[j])
+                               for i in range(3) for j in range(i + 1, 3)]
+
+
+def tangent_growth(t: Expr | MarkedStructure | AdaptedCoframe) -> tuple[int, ...]:
+    """Growth vector of the tangent plane span(xi3, xi4).
+
+    Certified at the seeded point of F_P when every rank is full there,
+    computed symbolically otherwise.
+    """
+    acf = adapted_coframe(t)
+    point = acf.frame_jets
+    growth = None if point is None else distribution_growth(point[0][3:5])
+    return growth or distribution_growth(acf.frame[3:5])
 
 
 @dataclass
@@ -530,25 +592,36 @@ class GeometryReport:
 
 
 def geometric_checks(t: Expr | MarkedStructure | AdaptedCoframe) -> GeometryReport:
-    """Run the geometric battery attached to the osculating filtration."""
+    """Run the geometric battery attached to the osculating filtration.
+
+    The growth, the derived rank and the line type are ranked at the seeded
+    point of F_P first, on the frame's jets, when J is not zero: then every
+    one of them is full, and the point proves it without symbolic brackets.
+    When J = 0 none of them is full, so the point is not tried.  Any rank the
+    point leaves open is computed symbolically, each bracket once.
+    """
     acf = adapted_coframe(t)
     inv = invariants_closed_form(acf)
     frame = acf.frame
     xi2, xi3, xi4 = frame[2], frame[3], frame[4]
 
     j_zero = inv.J.is_zero
-    growth = distribution_growth([xi3, xi4])
+    growth = derived_rank = line_type = None
+    point = None if j_zero else acf.frame_jets
+    if point is not None:
+        jet_frame, jet_theta = point
+        growth = distribution_growth(jet_frame[3:5])
+        derived_rank = generic_rank(_derived(jet_frame[2:5], lie_bracket))
+        line_type = type_of(jet_frame[4], jet_theta)
+    bracket = _BracketTable()
+    if growth is None:
+        growth = distribution_growth([xi3, xi4], bracket=bracket)
+    if derived_rank is None:
+        derived_rank = generic_rank(_derived([xi2, xi3, xi4], bracket))
+    if line_type is None:
+        line_type = type_of(xi4, acf.omega[0])
     # the plane is integrable exactly when its bracket adds nothing
     tangent_integrable = growth[1] == growth[0]
-
-    osculating = [xi2, xi3, xi4]
-    derived = list(osculating)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            derived.append(lie_bracket(osculating[i], osculating[j]))
-    derived_rank = generic_rank(derived)
-
-    line_type = type_of(xi4, acf.omega[0])
 
     # dw2 ^ w0 ^ w1 ^ w2 = 2 J vol
     w = acf.omega
@@ -569,15 +642,15 @@ def geometric_checks(t: Expr | MarkedStructure | AdaptedCoframe) -> GeometryRepo
 
     if j_zero:
         report.l_is_zero = inv.L.is_zero
-        bracket32 = lie_bracket(xi3, xi2)
-        derived_basis = [xi2, xi3, xi4, bracket32]
-        candidate = lie_bracket(xi3, bracket32)
+        # a row's sign does not change a rank, so [xi2, xi3] serves for [xi3, xi2]
+        derived_basis = [xi2, xi3, xi4, bracket(xi2, xi3)]
+        candidate = bracket(xi3, derived_basis[3])
         rows = [list(X.comps) for X in derived_basis]
         report.tangent_symmetry_of_derived = certified_rank(
             rows + [list(candidate.comps)]) == certified_rank(rows)
         if inv.L.is_zero:
             report.m_is_zero = inv.M.is_zero
-            report.derived_integrable = _brackets_stay_in_span(derived_basis)
+            report.derived_integrable = _brackets_stay_in_span(derived_basis, bracket)
         report.m_minus_p_is_zero = (inv.M - inv.P).is_zero
         report.null_plane_integrable, report.null_plane_wedge_identities = \
             _null_plane_checks(acf, inv)
@@ -635,7 +708,7 @@ def _null_plane_checks(acf: AdaptedCoframe, inv: InvariantJet):
         [phi.coefficient((k,)) for k in range(5)] for phi in (phi1, phi2, phi3)
     ]
     kernel = [VectorField(acf.coframe.chart, vec) for vec in linalg.nullspace(rows)]
-    integrable = len(kernel) == 2 and _brackets_stay_in_span(kernel)
+    integrable = len(kernel) == 2 and _brackets_stay_in_span(kernel, lie_bracket)
     return integrable, (id1, id2, id3)
 
 

@@ -15,6 +15,25 @@ the matrix evaluated at such a point is a proved lower bound on its generic
 rank.  When that bound meets the structural upper bound min(rows, columns) it
 is the answer; otherwise the rank comes from symbolic elimination.  Points
 never prove a dependency, so every rank-deficient answer is symbolic.
+
+The same certificate holds at a point q of F_P^n, P = 2^61 - 1, and there the
+rows need not be built symbolically at all.  Let R be the rational functions
+n/d with n and d integer polynomials and d(q) nonzero mod P.  R is a ring,
+closed under every partial derivative, and n/d -> n(q)/d(q) mod P is a ring
+homomorphism from R to F_P.  So an r x r minor with entries in R that is
+nonzero mod P at q is a nonzero rational function, and the rank is >= r.  The
+Taylor coefficients (∂^a f)(q)/a! of f in R map to F_P as well (a! < P), and
+those of f + g, f*g and ∂_i f follow from those of f and g by the Leibniz rule,
+which the homomorphism respects.  So the values at q of the entries of
+brackets and Lie derivatives built from the frame are read off
+:class:`~engelkit.jets.Jet` arithmetic on the frame's truncated expansions
+(Griewank & Walther, *Evaluating Derivatives*, ch. 13), with one order used
+up per derivative.  :class:`VectorField`, :func:`lie_bracket` and
+:func:`lie_derivative` of a 1-form run unchanged over jets.  Over jets
+:func:`certified_rank` answers only when the rank mod P is full, and returns
+None otherwise, so that the caller computes symbolically; a point where a
+canonical denominator vanishes mod P yields no jets at all
+(ZeroDivisionError from ``Jet.from_expr``).
 """
 
 from __future__ import annotations
@@ -25,6 +44,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
+from .jets import P, Jet
 from .symexpr import Expr, PoleError, VarKind, make_var, symbol
 
 __all__ = [
@@ -77,17 +97,24 @@ class Chart:
     def var(self, i: int) -> Expr:
         return symbol(self.names[i])
 
-    def derive(self, f: Expr, i: int) -> Expr:
+    def derive(self, f: Expr | Jet, i: int) -> Expr | Jet:
+        if isinstance(f, Jet):  # a jet's variables are the chart's, in order
+            return f.partial(i)
         name = self.names[i]
         if make_var(name).kind is VarKind.COORDINATE:
             return f.diff(name)
         return f.partial(name)
 
 
-def _coerce_scalar(value) -> Expr:
-    if isinstance(value, Expr):
+def _coerce_scalar(value) -> Expr | Jet:
+    if isinstance(value, (Expr, Jet)):
         return value
     return Expr._coerce(value)
+
+
+def _zero_like(value: Expr | Jet) -> Expr | Jet:
+    """The zero of ``value``'s scalar type."""
+    return value.zero() if isinstance(value, Jet) else Expr.from_int(0)
 
 
 def _merge_indices(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -292,19 +319,19 @@ class VectorField:
     def __hash__(self):
         raise TypeError("vector fields are unhashable")
 
-    def apply(self, f: Expr) -> Expr:
+    def apply(self, f: Expr | Jet) -> Expr | Jet:
         """Directional derivative X(f)."""
-        result = Expr.from_int(0)
+        result = _zero_like(f)
         for i, comp in enumerate(self.comps):
             if not comp.is_zero:
                 result = result + comp * self.chart.derive(f, i)
         return result
 
-    def pair(self, alpha: DifferentialForm) -> Expr:
+    def pair(self, alpha: DifferentialForm) -> Expr | Jet:
         """Pairing ⟨α, X⟩ for a 1-form α."""
         if alpha.degree != 1:
             raise FormError("pairing needs a 1-form")
-        result = Expr.from_int(0)
+        result = _zero_like(self.comps[0])
         for (i,), coeff in alpha.comps.items():
             result = result + coeff * self.comps[i]
         return result
@@ -330,7 +357,26 @@ def interior_product(X: VectorField, alpha: DifferentialForm) -> DifferentialFor
 
 
 def lie_derivative(X: VectorField, alpha: DifferentialForm) -> DifferentialForm:
-    """Cartan formula L_X = d∘ι_X + ι_X∘d."""
+    """Lie derivative L_X α.
+
+    For a 1-form, componentwise: (L_X α)_k = X(α_k) + Σ_i α_i ∂_k X^i, which
+    needs no exterior derivative and runs over jets as well as over
+    expressions.  Other degrees use Cartan's formula L_X = d∘ι_X + ι_X∘d.
+    """
+    if alpha.degree == 1:
+        chart = alpha.chart
+        comps = {}
+        for k in range(chart.dim):
+            total = X.apply(alpha.comps[(k,)]) if (k,) in alpha.comps else None
+            for (i,), a_i in alpha.comps.items():
+                if X.comps[i].is_zero:
+                    continue
+                dX = chart.derive(X.comps[i], k)
+                if not dX.is_zero:
+                    total = a_i * dX if total is None else total + a_i * dX
+            if total is not None:
+                comps[(k,)] = total
+        return DifferentialForm(chart, 1, comps)
     if alpha.degree == 0:
         return DifferentialForm.scalar(alpha.chart, X.apply(alpha.coefficient(())))
     term1 = alpha.interior(X).d()
@@ -413,17 +459,24 @@ def sample_value(name: str, k: int) -> Fraction:
     return Fraction(rng.choice([-1, 1]) * rng.randint(1, 997), rng.randint(1, 997))
 
 
-def certified_rank(rows: Sequence[Sequence[Expr]]) -> int:
+def certified_rank(rows: Sequence[Sequence[Expr | Jet]]) -> int | None:
     """Rank of a matrix of expressions over the rational-function field.
 
     The matrix is evaluated exactly at ``SAMPLE_POINTS`` seeded rational
     points, skipping those where an entry has a pole.  The rank at each such
     point is a proved lower bound; when one reaches min(rows, columns) it is
     the rank.  Otherwise the rank comes from symbolic elimination.
+
+    A matrix of jets is ranked mod P on its values.  That rank is returned
+    only when it is min(rows, columns); otherwise the answer is None, and
+    the caller ranks the symbolic rows instead.
     """
     if not rows:
         return 0
     full = min(len(rows), len(rows[0]))
+    if isinstance(rows[0][0], Jet):
+        values = [[e.value for e in row] for row in rows]
+        return full if linalg.rank_mod(values, P) == full else None
     names = sorted({v.name for row in rows for e in row for v in e.occurring_vars()})
     for k in range(SAMPLE_POINTS):
         point = {name: sample_value(name, k) for name in names}
@@ -436,14 +489,16 @@ def certified_rank(rows: Sequence[Sequence[Expr]]) -> int:
     return linalg.rank(rows)
 
 
-def generic_rank(fields: Sequence[VectorField]) -> int:
-    """Rank of the component matrix over the rational-function field."""
+def generic_rank(fields: Sequence[VectorField]) -> int | None:
+    """Rank of the component matrix over the rational-function field
+    (None over jets unless full: see :func:`certified_rank`)."""
     if not fields:
         raise FormError("need at least one vector field")
     return certified_rank([list(X.comps) for X in fields])
 
 
-def distribution_growth(fields: Sequence[VectorField], depth: int = 3) -> tuple[int, ...]:
+def distribution_growth(fields: Sequence[VectorField], depth: int = 3,
+                        bracket=None) -> tuple[int, ...] | None:
     """Growth vector of the distribution spanned by the given fields.
 
     Entry k is the generic rank of the span after k rounds of bracketing the
@@ -452,38 +507,47 @@ def distribution_growth(fields: Sequence[VectorField], depth: int = 3) -> tuple[
     bracket per pair in the first round, and each later round brackets the
     generators with the fields the previous round added.  Once a round adds
     nothing, the span is closed under bracketing with the generators and the
-    growth stays put.
+    growth stays put.  ``bracket`` forms the brackets (by default
+    :func:`lie_bracket`); a caller that needs them again passes one that
+    keeps them.  Over jets the growth is None as soon as a rank is not full
+    (:func:`certified_rank`).
     """
     if depth > 3:
         raise FormError("growth depth is capped at 3")
+    bracket = bracket or lie_bracket
     fields = list(fields)
     rows = [list(X.comps) for X in fields]
     growth = [certified_rank(rows)]
     added: list[VectorField] = []
     for step in range(1, depth):
+        if growth[-1] is None:
+            return None
         if step == 1:
-            added = [lie_bracket(fields[i], fields[j])
+            added = [bracket(fields[i], fields[j])
                      for i in range(len(fields)) for j in range(i + 1, len(fields))]
         else:
-            added = [lie_bracket(X, Y) for X in fields for Y in added]
+            added = [bracket(X, Y) for X in fields for Y in added]
         rows += [list(X.comps) for X in added]
         growth.append(certified_rank(rows))
         if growth[-1] == growth[-2]:
             return tuple(growth + [growth[-1]] * (depth - 1 - step))
-    return tuple(growth)
+    return None if growth[-1] is None else tuple(growth)
 
 
-def type_of(X: VectorField, theta: DifferentialForm) -> int:
-    """Generic rank of (θ, L_Xθ, L_X²θ, L_X³θ) for X inside ker θ."""
+def type_of(X: VectorField, theta: DifferentialForm) -> int | None:
+    """Generic rank of (θ, L_Xθ, L_X²θ, L_X³θ) for X inside ker θ
+    (None over jets unless full: see :func:`certified_rank`)."""
     if theta.degree != 1:
         raise FormError("the contact form must be a 1-form")
     if not X.pair(theta).is_zero:
         raise FormError("the field does not lie in the kernel of the contact form")
+    zero = _zero_like(X.comps[0])
     rows = []
     current = theta
-    for _ in range(4):
-        rows.append([current.coefficient((k,)) for k in range(X.chart.dim)])
-        current = lie_derivative(X, current)
+    for step in range(4):
+        rows.append([current.comps.get((k,), zero) for k in range(X.chart.dim)])
+        if step < 3:
+            current = lie_derivative(X, current)
     return certified_rank(rows)
 
 

@@ -217,6 +217,25 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(pivots)
 
 
+def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over the prime field F_p of a matrix of integers."""
+    work = [[x % p for x in row] for row in rows]
+    r = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        top = work[r]
+        inverse = pow(top[col], -1, p)
+        for i in range(r + 1, len(work)):
+            f = work[i][col] * inverse % p
+            if f:
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], top)]
+        r += 1
+    return r
+
+
 def nullspace(rows: Sequence[Sequence], n_cols: int | None = None) -> list[list]:
     """Basis of the right kernel (solutions of A x = 0)."""
     if not rows:

@@ -795,6 +795,15 @@ class Expr:
     def denominator(self) -> "Expr":
         return Expr(self._elem.field.new(self._elem.denom, self._elem.field.ring.one), self._vars)
 
+    def polynomial_terms(self) -> tuple[tuple[str, ...], list, list]:
+        """The variable names, then the canonical numerator's and
+        denominator's terms as ``(exponents, coefficient)`` pairs, with
+        exponents in the order of the names and integer coefficients."""
+        numer, denom = self._elem.numer, self._elem.denom
+        return (tuple(v.name for v in self._vars),
+                [(mon, int(c)) for mon, c in numer.items()],
+                [(mon, int(c)) for mon, c in denom.items()])
+
     def as_fraction(self) -> Fraction:
         if not self.is_constant:
             raise ExprError("expression is not a rational constant")

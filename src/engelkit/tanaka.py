@@ -84,12 +84,12 @@ class DerivationPair:
 def extend_to_derivation(m: GradedNilpotent, matrix: Sequence[Sequence[Fraction]]) -> DerivationPair:
     """Extend a grade -1 action to a derivation; raises if impossible."""
     e = linalg.identity(4)
+    images = [[row[i] for row in matrix] for i in range(4)]  # matrix e_i
     scalar = None
     for i in range(4):
         for j in range(i + 1, 4):
             w = m.pairing[i][j]
-            mixed = m.bracket_minus1(linalg.mat_vec(matrix, e[i]), e[j]) \
-                + m.bracket_minus1(e[i], linalg.mat_vec(matrix, e[j]))
+            mixed = m.bracket_minus1(images[i], e[j]) + m.bracket_minus1(e[i], images[j])
             if w != 0:
                 candidate = mixed / w
                 if scalar is None:
@@ -423,18 +423,32 @@ def cochain_dims(coefficients: str, q: int, homogeneity: int) -> int:
     return len(_cochain_basis(idx, grades, q, homogeneity))
 
 
-def cohomology_dim(coefficients: str, q: int, homogeneity: int) -> int:
-    """dim H^q(m, V)_l with V the full algebra ('g') or the parabolic ('q')."""
-    mat_out, src, _ = _boundary_matrix(coefficients, q, homogeneity)
-    if not src:
+def _boundary_rank(coefficients: str, q: int, homogeneity: int,
+                   ranks: dict) -> tuple[int, int]:
+    """``(dim C^q_l, rank of C^q_l -> C^{q+1}_l)``, read from ``ranks`` when
+    it holds them and stored there otherwise."""
+    key = (coefficients, q, homogeneity)
+    if key not in ranks:
+        matrix, src, _ = _boundary_matrix(coefficients, q, homogeneity)
+        ranks[key] = (len(src), linalg.rank(matrix) if matrix and src else 0)
+    return ranks[key]
+
+
+def cohomology_dim(coefficients: str, q: int, homogeneity: int,
+                   ranks: dict | None = None) -> int:
+    """dim H^q(m, V)_l with V the full algebra ('g') or the parabolic ('q').
+
+    Callers that ask for several dimensions pass one ``ranks`` dict to all
+    of them, so that each boundary matrix is built and ranked once.
+    """
+    ranks = {} if ranks is None else ranks
+    dim, rank_out = _boundary_rank(coefficients, q, homogeneity, ranks)
+    if not dim:
         return 0
-    rank_out = linalg.rank(mat_out) if mat_out else 0
-    kernel_dim = len(src) - rank_out
     if q == 0:
-        return kernel_dim
-    mat_in, src_in, _ = _boundary_matrix(coefficients, q - 1, homogeneity)
-    rank_in = linalg.rank(mat_in) if mat_in and src_in else 0
-    return kernel_dim - rank_in
+        return dim - rank_out
+    _, rank_in = _boundary_rank(coefficients, q - 1, homogeneity, ranks)
+    return dim - rank_out - rank_in
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ def test_criterion_06_geometry_battery():
         assert lhs == acf.volume() * (2 * inv.J)
     _report(6, "20 seeded markings: integrability iff J = 0; growth (2,3,5) "
                "otherwise; derived osculating rank 4 when integrable; volume "
-               "identity exact", started, budget=10.0)
+               "identity exact", started, budget=5.0)
 
 
 def test_criterion_07_rigid_coframe_checks():

@@ -355,6 +355,24 @@ class TestInjectedFaults:
         assert report.results["degree_dims"] != [4, 1, 0]
         assert report.results["failures"] == ["degree_dims != [4, 1, 0], the grades of G2"]
 
+    @pytest.mark.parametrize("t, wrong_j, growth", [
+        ("x4", 0, [2, 3, 5]),  # J != 0 read as 0: the point path is skipped
+        ("(x1 - 2*x3)/(-x2 + 2*x4)", 1, [2, 2, 2]),  # J = 0 read as 1: the point fails
+    ])
+    def test_geometry_closed_form_j(self, monkeypatch, t, wrong_j, growth):
+        from dataclasses import replace
+
+        from engelkit import engel
+        from engelkit.symexpr import integer
+
+        closed_form = engel.invariants_closed_form
+        monkeypatch.setattr(engel, "invariants_closed_form",
+                            lambda acf: replace(closed_form(acf), J=integer(wrong_j)))
+        report = self.assert_failed(["geometry", "--t", t])
+        assert report.results["first_invariant_vanishes"] is (wrong_j == 0)
+        assert report.results["growth"] == growth
+        assert report.results["consistent"] is False
+
     def test_tanaka_gl2_truncated_depths_pass(self):
         for depth in range(6):
             code, report = run(["tanaka", "prolong", "--g0", "gl2",

@@ -398,6 +398,16 @@ class TestLieDerivativeAndType:
                     expected = expected + alpha.coefficient((j,)) * X5.derive(X.comps[j], k)
                 assert lie.coefficient((k,)) == expected
 
+    def test_one_form_lie_derivative_matches_cartan_formula(self):
+        # the componentwise formula against L_X = d∘ι_X + ι_X∘d
+        rng = random.Random(43)
+        names = ["x0", "x1", "x2", "x3", "x4"]
+        for _ in range(4):
+            alpha = random_one_form(rng, names)
+            X = random_field(rng, names)
+            assert lie_derivative(X, alpha) == alpha.interior(X).d() + alpha.d().interior(X)
+        assert lie_derivative(X, DifferentialForm.zero(X5, 1)).is_zero
+
     def test_type_two_for_integrable_marking(self):
         t = parse("(x1 - 2*x3)/(-x2 + 2*x4)")
         cof = CoframeChart(X5, coframe_forms(t))

@@ -48,6 +48,11 @@ class TestNilpotentPart:
     def test_graded_derivations_dimension(self):
         assert len(graded_derivations(heisenberg_from_table())) == 11
 
+    def test_extension_recovers_each_derivation_scalar(self):
+        m = heisenberg_from_table()
+        for pair in graded_derivations(m):
+            assert extend_to_derivation(m, pair.matrix) == pair
+
 
 class TestProlongation:
     def test_irreducible_gl2_reproduces_full_algebra_dims(self):
@@ -113,6 +118,22 @@ class TestCohomology:
         assert cochain_dims("q", 2, 1) == 28
         assert cochain_dims("g", 1, 1) == 20
         assert cochain_dims("q", 1, 1) == 16
+
+    def test_battery_ranks_each_boundary_matrix_once(self, monkeypatch):
+        from engelkit import tanaka
+        from engelkit.cli import run
+
+        built = []
+        boundary = tanaka._boundary_matrix
+
+        def counting(coefficients, q, homogeneity):
+            built.append((coefficients, q, homogeneity))
+            return boundary(coefficients, q, homogeneity)
+
+        monkeypatch.setattr(tanaka, "_boundary_matrix", counting)
+        code, report = run(["tanaka", "cohomology"])
+        assert code == 0 and report.results["pass"] is True
+        assert len(built) == len(set(built)) == 11
 
     def test_boundary_squares_to_zero(self):
         for coeffs in ("g", "q"):

@@ -33,6 +33,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import cubicalg, engel, g2alg, kerr, models, symexpr, tanaka
+from .forms import distribution_growth
 from .symexpr import ExprError, parse
 
 __all__ = ["main", "run", "Report"]
@@ -171,7 +172,8 @@ def _cmd_classify(args, report: Report) -> None:
 def _cmd_growth(args, report: Report) -> None:
     t = parse(args.t)
     report.inputs["t"] = args.t
-    growth = engel.tangent_growth(t)
+    frame = engel.adapted_coframe(t).frame
+    growth = distribution_growth([frame[3], frame[4]])
     report.results["growth"] = list(growth)
     report.results["integrable"] = growth[-1] == 2
 

@@ -74,7 +74,6 @@ __all__ = [
     "classify",
     "classify_at",
     "geometric_checks",
-    "tangent_growth",
     "tautological_forms",
     "verify_flat_reduction",
 ]
@@ -506,51 +505,18 @@ def classify_at(t: Expr | MarkedStructure | AdaptedCoframe,
 # ---------------------------------------------------------------------------
 
 
-class _BracketTable:
-    """Lie brackets of one marking's fields, each formed once.
-
-    [Y, X] is read as -[X, Y].  Fields are keyed by identity, and the table
-    holds them, so no key is reused while it lives.
-    """
-
-    def __init__(self):
-        self._table: dict[tuple[int, int], tuple[VectorField, VectorField, VectorField]] = {}
-
-    def __call__(self, X: VectorField, Y: VectorField) -> VectorField:
-        entry = self._table.get((id(X), id(Y)))
-        if entry is not None:
-            return entry[2]
-        swapped = self._table.get((id(Y), id(X)))
-        result = -swapped[2] if swapped is not None else lie_bracket(X, Y)
-        self._table[(id(X), id(Y))] = (X, Y, result)
-        return result
-
-
-def _brackets_stay_in_span(fields: Sequence[VectorField], bracket) -> bool:
+def _brackets_stay_in_span(fields: Sequence[VectorField],
+                           brackets: Sequence[VectorField]) -> bool:
+    """Whether ``brackets``, formed among ``fields``, add nothing to their span."""
     base = [list(X.comps) for X in fields]
-    extended = list(base)
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            extended.append(list(bracket(fields[i], fields[j]).comps))
+    extended = base + [list(B.comps) for B in brackets]
     return certified_rank(extended) == certified_rank(base)
 
 
-def _derived(osculating: Sequence[VectorField], bracket) -> list[VectorField]:
+def _derived(osculating: Sequence[VectorField]) -> list[VectorField]:
     """The osculating fields and their pairwise brackets."""
-    return list(osculating) + [bracket(osculating[i], osculating[j])
+    return list(osculating) + [lie_bracket(osculating[i], osculating[j])
                                for i in range(3) for j in range(i + 1, 3)]
-
-
-def tangent_growth(t: Expr | MarkedStructure | AdaptedCoframe) -> tuple[int, ...]:
-    """Growth vector of the tangent plane span(xi3, xi4).
-
-    Certified at the seeded point of F_P when every rank is full there,
-    computed symbolically otherwise.
-    """
-    acf = adapted_coframe(t)
-    point = acf.frame_jets
-    growth = None if point is None else distribution_growth(point[0][3:5])
-    return growth or distribution_growth(acf.frame[3:5])
 
 
 @dataclass
@@ -598,7 +564,7 @@ def geometric_checks(t: Expr | MarkedStructure | AdaptedCoframe) -> GeometryRepo
     point of F_P first, on the frame's jets, when J is not zero: then every
     one of them is full, and the point proves it without symbolic brackets.
     When J = 0 none of them is full, so the point is not tried.  Any rank the
-    point leaves open is computed symbolically, each bracket once.
+    point leaves open is computed symbolically.
     """
     acf = adapted_coframe(t)
     inv = invariants_closed_form(acf)
@@ -611,13 +577,14 @@ def geometric_checks(t: Expr | MarkedStructure | AdaptedCoframe) -> GeometryRepo
     if point is not None:
         jet_frame, jet_theta = point
         growth = distribution_growth(jet_frame[3:5])
-        derived_rank = generic_rank(_derived(jet_frame[2:5], lie_bracket))
+        derived_rank = generic_rank(_derived(jet_frame[2:5]))
         line_type = type_of(jet_frame[4], jet_theta)
-    bracket = _BracketTable()
     if growth is None:
-        growth = distribution_growth([xi3, xi4], bracket=bracket)
+        growth = distribution_growth([xi3, xi4])
     if derived_rank is None:
-        derived_rank = generic_rank(_derived([xi2, xi3, xi4], bracket))
+        # [xi2, xi3], [xi2, xi4], [xi3, xi4]; when J = 0 the checks below reuse them
+        derived = _derived([xi2, xi3, xi4])
+        derived_rank = generic_rank(derived)
     if line_type is None:
         line_type = type_of(xi4, acf.omega[0])
     # the plane is integrable exactly when its bracket adds nothing
@@ -643,14 +610,15 @@ def geometric_checks(t: Expr | MarkedStructure | AdaptedCoframe) -> GeometryRepo
     if j_zero:
         report.l_is_zero = inv.L.is_zero
         # a row's sign does not change a rank, so [xi2, xi3] serves for [xi3, xi2]
-        derived_basis = [xi2, xi3, xi4, bracket(xi2, xi3)]
-        candidate = bracket(xi3, derived_basis[3])
-        rows = [list(X.comps) for X in derived_basis]
-        report.tangent_symmetry_of_derived = certified_rank(
-            rows + [list(candidate.comps)]) == certified_rank(rows)
+        b23, b24, b34 = derived[3:]
+        derived_basis = [xi2, xi3, xi4, b23]
+        candidate = lie_bracket(xi3, b23)
+        report.tangent_symmetry_of_derived = _brackets_stay_in_span(derived_basis, [candidate])
         if inv.L.is_zero:
             report.m_is_zero = inv.M.is_zero
-            report.derived_integrable = _brackets_stay_in_span(derived_basis, bracket)
+            report.derived_integrable = _brackets_stay_in_span(
+                derived_basis,
+                [b23, b24, b34, lie_bracket(xi2, b23), candidate, lie_bracket(xi4, b23)])
         report.m_minus_p_is_zero = (inv.M - inv.P).is_zero
         report.null_plane_integrable, report.null_plane_wedge_identities = \
             _null_plane_checks(acf, inv)
@@ -708,7 +676,8 @@ def _null_plane_checks(acf: AdaptedCoframe, inv: InvariantJet):
         [phi.coefficient((k,)) for k in range(5)] for phi in (phi1, phi2, phi3)
     ]
     kernel = [VectorField(acf.coframe.chart, vec) for vec in linalg.nullspace(rows)]
-    integrable = len(kernel) == 2 and _brackets_stay_in_span(kernel, lie_bracket)
+    integrable = len(kernel) == 2 and _brackets_stay_in_span(
+        kernel, [lie_bracket(kernel[0], kernel[1])])
     return integrable, (id1, id2, id3)
 
 

@@ -28,11 +28,15 @@ which the homomorphism respects.  So the values at q of the entries of
 brackets and Lie derivatives built from the frame are read off
 :class:`~engelkit.jets.Jet` arithmetic on the frame's truncated expansions
 (Griewank & Walther, *Evaluating Derivatives*, ch. 13), with one order used
-up per derivative.  :class:`VectorField`, :func:`lie_bracket` and
-:func:`lie_derivative` of a 1-form run unchanged over jets.  Over jets
-:func:`certified_rank` answers only when the rank mod P is full, and returns
-None otherwise, so that the caller computes symbolically; a point where a
-canonical denominator vanishes mod P yields no jets at all
+up per derivative.  Over jets run, unchanged: :meth:`VectorField.apply`,
+:meth:`VectorField.pair`, :func:`lie_bracket`, :func:`lie_derivative` of a
+1-form, :func:`certified_rank`, :func:`generic_rank`,
+:func:`distribution_growth` and :func:`type_of`.  The rest of this module
+(scalar multiples of fields, sums, wedges, exterior derivatives and interior
+products of forms) takes :class:`~engelkit.symexpr.Expr` coefficients only.
+Over jets :func:`certified_rank` answers only when the rank mod P is full,
+and returns None otherwise, so that the caller computes symbolically; a point
+where a canonical denominator vanishes mod P yields no jets at all
 (ZeroDivisionError from ``Jet.from_expr``).
 """
 
@@ -497,8 +501,7 @@ def generic_rank(fields: Sequence[VectorField]) -> int | None:
     return certified_rank([list(X.comps) for X in fields])
 
 
-def distribution_growth(fields: Sequence[VectorField], depth: int = 3,
-                        bracket=None) -> tuple[int, ...] | None:
+def distribution_growth(fields: Sequence[VectorField], depth: int = 3) -> tuple[int, ...] | None:
     """Growth vector of the distribution spanned by the given fields.
 
     Entry k is the generic rank of the span after k rounds of bracketing the
@@ -507,14 +510,11 @@ def distribution_growth(fields: Sequence[VectorField], depth: int = 3,
     bracket per pair in the first round, and each later round brackets the
     generators with the fields the previous round added.  Once a round adds
     nothing, the span is closed under bracketing with the generators and the
-    growth stays put.  ``bracket`` forms the brackets (by default
-    :func:`lie_bracket`); a caller that needs them again passes one that
-    keeps them.  Over jets the growth is None as soon as a rank is not full
-    (:func:`certified_rank`).
+    growth stays put.  Over jets the growth is None as soon as a rank is not
+    full (:func:`certified_rank`).
     """
     if depth > 3:
         raise FormError("growth depth is capped at 3")
-    bracket = bracket or lie_bracket
     fields = list(fields)
     rows = [list(X.comps) for X in fields]
     growth = [certified_rank(rows)]
@@ -523,10 +523,10 @@ def distribution_growth(fields: Sequence[VectorField], depth: int = 3,
         if growth[-1] is None:
             return None
         if step == 1:
-            added = [bracket(fields[i], fields[j])
+            added = [lie_bracket(fields[i], fields[j])
                      for i in range(len(fields)) for j in range(i + 1, len(fields))]
         else:
-            added = [bracket(X, Y) for X in fields for Y in added]
+            added = [lie_bracket(X, Y) for X in fields for Y in added]
         rows += [list(X.comps) for X in added]
         growth.append(certified_rank(rows))
         if growth[-1] == growth[-2]:

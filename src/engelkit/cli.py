@@ -19,6 +19,11 @@ Commands
     cubic verify [--seed N]      pointwise twisted-cubic algebra
 
 Exit codes: 0 ok, 1 verification failed, 2 input error.
+
+Only the commands that compute with symbolic expressions (invariants,
+classify, growth, geometry, kerr, fibration, reduction) load the symbolic
+layer, and with it sympy; g2, tanaka, models and cubic run on exact
+fractions alone and never import it.
 """
 
 from __future__ import annotations
@@ -31,10 +36,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
-
-from . import cubicalg, engel, g2alg, kerr, models, symexpr, tanaka
-from .forms import distribution_growth
-from .symexpr import ExprError, parse
 
 __all__ = ["main", "run", "Report"]
 
@@ -118,9 +119,32 @@ def _parse_point(text: str) -> dict[str, float | Fraction | int]:
 # ---------------------------------------------------------------------------
 # command handlers
 # ---------------------------------------------------------------------------
+# Each handler imports the modules it uses, so that a command loads only
+# its own part of the package: the Fraction-only commands never load sympy.
 
 
+def _symbolic(handler):
+    """An ``Expr`` command: it runs over one factor base, started empty, and
+    the symbolic layer's errors in its input are input errors."""
+
+    @functools.wraps(handler)
+    def run_symbolic(args, report: Report) -> None:
+        from . import engel, symexpr
+
+        try:
+            with symexpr.factor_base():
+                handler(args, report)
+        except (symexpr.ExprError, engel.StructureShapeError) as exc:
+            raise _InputError(str(exc)) from exc
+
+    return run_symbolic
+
+
+@_symbolic
 def _cmd_invariants(args, report: Report) -> None:
+    from . import engel
+    from .symexpr import parse
+
     t = parse(args.t)
     report.inputs["t"] = args.t
     acf = engel.adapted_coframe(t)
@@ -146,7 +170,11 @@ def _cmd_invariants(args, report: Report) -> None:
         report.status = FAILED
 
 
+@_symbolic
 def _cmd_classify(args, report: Report) -> None:
+    from . import engel
+    from .symexpr import parse
+
     t = parse(args.t)
     report.inputs["t"] = args.t
     point = _parse_point(args.at) if args.at else None
@@ -169,7 +197,12 @@ def _cmd_classify(args, report: Report) -> None:
     report.results["models"] = list(label.models)
 
 
+@_symbolic
 def _cmd_growth(args, report: Report) -> None:
+    from . import engel
+    from .forms import distribution_growth
+    from .symexpr import parse
+
     t = parse(args.t)
     report.inputs["t"] = args.t
     frame = engel.adapted_coframe(t).frame
@@ -178,7 +211,11 @@ def _cmd_growth(args, report: Report) -> None:
     report.results["integrable"] = growth[-1] == 2
 
 
+@_symbolic
 def _cmd_geometry(args, report: Report) -> None:
+    from . import engel
+    from .symexpr import parse
+
     t = parse(args.t)
     report.inputs["t"] = args.t
     rep = engel.geometric_checks(engel.adapted_coframe(t))
@@ -203,7 +240,11 @@ def _cmd_geometry(args, report: Report) -> None:
         report.status = FAILED
 
 
+@_symbolic
 def _cmd_kerr_verify(args, report: Report) -> None:
+    from . import kerr
+    from .symexpr import parse
+
     F = parse(args.F)
     t = parse(args.t)
     report.inputs["F"] = args.F
@@ -216,13 +257,18 @@ def _cmd_kerr_verify(args, report: Report) -> None:
         report.status = FAILED
 
 
+@_symbolic
 def _cmd_kerr_solve(args, report: Report) -> None:
+    from . import kerr
+    from .symexpr import parse
+
     F = parse(args.F)
     point = _parse_point(args.at)
+    tol = kerr.F_TOL_DEFAULT if args.tol is None else args.tol
     report.inputs["F"] = args.F
     report.inputs["at"] = args.at
     try:
-        root = kerr.solve_kerr_numeric(F, point, guess=args.guess, tol=args.tol)
+        root = kerr.solve_kerr_numeric(F, point, guess=args.guess, tol=tol)
     except kerr.KerrSolveError as exc:
         report.results["error"] = str(exc)
         report.status = FAILED
@@ -233,14 +279,19 @@ def _cmd_kerr_solve(args, report: Report) -> None:
     report.results["iterations"] = root.iterations
 
 
+@_symbolic
 def _cmd_kerr_section(args, report: Report) -> None:
+    from . import kerr
+    from .symexpr import parse
+
     H = parse(args.H)
     point = _parse_point(args.at)
+    tol = kerr.F_TOL_DEFAULT if args.tol is None else args.tol
     report.inputs["H"] = args.H
     report.inputs["at"] = args.at
     try:
         rep = kerr.section_from_hypersurface(H, point, guess=args.guess,
-                                             tol=args.tol, seed=args.seed)
+                                             tol=tol, seed=args.seed)
     except kerr.TransversalityError as exc:
         raise _InputError(str(exc)) from exc
     except kerr.KerrSolveError as exc:
@@ -260,7 +311,10 @@ def _cmd_kerr_section(args, report: Report) -> None:
         report.results["csv"] = args.csv
 
 
+@_symbolic
 def _cmd_fibration(args, report: Report) -> None:
+    from . import kerr
+
     rep = kerr.coordinate_change_check()
     report.results["forms_match"] = list(rep.forms_match)
     report.results["first_projection_rectified"] = rep.vertical_field_first_projection
@@ -272,6 +326,8 @@ def _cmd_fibration(args, report: Report) -> None:
 
 
 def _cmd_g2(args, report: Report) -> None:
+    from . import g2alg
+
     mc = g2alg.verify_maurer_cartan()
     alg = g2alg.commutator_table()
     violations = alg.jacobi_violations()
@@ -309,6 +365,8 @@ _G0_CHOICES = ("gl2", "borel", "derivations")
 
 
 def _g0_matrices(name: str):
+    from . import cubicalg, tanaka
+
     if name == "gl2":
         return cubicalg.gl2_basis()
     if name == "borel":
@@ -320,6 +378,8 @@ def _g0_matrices(name: str):
 
 
 def _cmd_tanaka_prolong(args, report: Report) -> None:
+    from . import tanaka
+
     report.inputs["g0"] = args.g0
     if args.max_degree < 0:
         raise _InputError(f"--max-degree must be at least 0, got {args.max_degree}")
@@ -342,6 +402,8 @@ def _cmd_tanaka_prolong(args, report: Report) -> None:
 
 
 def _cmd_tanaka_cohomology(args, report: Report) -> None:
+    from . import tanaka
+
     if args.degree is not None:
         coefficients = "g" if args.coefficients is None else args.coefficients
         homogeneity = 1 if args.homogeneity is None else args.homogeneity
@@ -368,6 +430,8 @@ def _cmd_tanaka_cohomology(args, report: Report) -> None:
 
 
 def _cmd_tanaka_normalization(args, report: Report) -> None:
+    from . import tanaka
+
     rep = tanaka.normalization_obstruction()
     report.results["two_cochain_dim"] = rep.two_cochain_dim
     report.results["image_full_dim"] = rep.image_full_dim
@@ -383,6 +447,8 @@ def _cmd_tanaka_normalization(args, report: Report) -> None:
 
 
 def _cmd_models(args, report: Report) -> None:
+    from . import models
+
     systems = models.catalogue()
     table = {}
     ok = True
@@ -406,7 +472,10 @@ def _cmd_models(args, report: Report) -> None:
         report.status = FAILED
 
 
+@_symbolic
 def _cmd_reduction(args, report: Report) -> None:
+    from . import engel
+
     rep = engel.verify_flat_reduction()
     report.results["equations"] = {name: residual.is_zero
                                    for name, residual in rep.residuals.items()}
@@ -421,7 +490,7 @@ def _cmd_reduction(args, report: Report) -> None:
 def _cmd_cubic(args, report: Report) -> None:
     import random
 
-    from . import linalg
+    from . import cubicalg, linalg
 
     rng = random.Random(args.seed)
     hom_ok = True
@@ -502,12 +571,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--F", required=True)
     p.add_argument("--at", required=True)
     p.add_argument("--guess", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=kerr.F_TOL_DEFAULT)
+    p.add_argument("--tol", type=float)  # None: kerr.F_TOL_DEFAULT
     p = add(kerr_sub, "section", _cmd_kerr_section)
     p.add_argument("--H", required=True)
     p.add_argument("--at", required=True)
     p.add_argument("--guess", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=kerr.F_TOL_DEFAULT)
+    p.add_argument("--tol", type=float)  # None: kerr.F_TOL_DEFAULT
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="write the sample grid as CSV")
 
@@ -575,9 +644,8 @@ def _execute(argv: list[str]) -> tuple[int, Report, str]:
     name = args.command + (f" {args.subcommand}" if hasattr(args, "subcommand") else "")
     report = Report(command=name)
     try:
-        with symexpr.factor_base():  # one base per command, started empty
-            args.handler(args, report)
-    except (ExprError, ValueError, engel.StructureShapeError, _InputError) as exc:
+        args.handler(args, report)
+    except (ValueError, _InputError) as exc:
         report.status = INPUT_ERROR
         report.results["error"] = str(exc)
     text = report.to_json() if args.format == "json" else report.to_text()

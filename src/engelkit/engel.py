@@ -161,10 +161,10 @@ class AdaptedCoframe:
         return frame, theta
 
     def volume(self) -> DifferentialForm:
-        out = self.omega[0]
-        for w in self.omega[1:]:
-            out = out.wedge(w)
-        return out
+        """w0 ^ ... ^ w4, which is det(coframe) dx0 ^ ... ^ dx4."""
+        chart = self.coframe.chart
+        return DifferentialForm(chart, chart.dim,
+                                {tuple(range(chart.dim)): self.coframe.det})
 
 
 def adapted_coframe(t: Expr | MarkedStructure | AdaptedCoframe) -> AdaptedCoframe:

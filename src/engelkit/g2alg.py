@@ -18,7 +18,6 @@ from itertools import combinations
 from typing import Sequence
 
 from . import linalg
-from .symexpr import Expr, integer, symbol
 
 __all__ = [
     "build_basis",
@@ -41,16 +40,14 @@ GRADES = (-2, -1, -1, -1, -1, 0, 0, 0, 0, 1, 1, 1, 1, 2)
 
 
 def _parametric_matrices():
-    a = [symbol(f"pa{i}") for i in range(5)]
-    b = [None] + [symbol(f"pb{i}") for i in range(1, 5)]
-    g = [symbol(f"pg{i}") for i in range(5)]
+    """Entries are linear forms in the parameters, as {parameter: coefficient}."""
+    a = [f"pa{i}" for i in range(5)]
+    b = [None] + [f"pb{i}" for i in range(1, 5)]
+    g = [f"pg{i}" for i in range(5)]
     F = Fraction
 
-    def lc(*pairs):
-        total = integer(0)
-        for coeff, var in pairs:
-            total = total + var * coeff
-        return total
+    def lc(*pairs) -> dict[str, Fraction]:
+        return {var: coeff for coeff, var in pairs}
 
     A = [
         [lc(), lc((F(4, 3), a[2])), lc((F(4, 3), a[0])), lc((F(4, 9), a[1]), (F(-1), a[3])),
@@ -109,12 +106,8 @@ def _parametric_matrices():
     return A, B, C
 
 
-def _coefficient_matrix(M: list[list[Expr]], param: str) -> Mat7:
-    out = []
-    for row in M:
-        out.append([entry.partial(param).as_fraction() if not entry.is_zero
-                    else Fraction(0) for entry in row])
-    return out
+def _coefficient_matrix(M: list[list[dict[str, Fraction]]], param: str) -> Mat7:
+    return [[entry.get(param, Fraction(0)) for entry in row] for row in M]
 
 
 @lru_cache(maxsize=1)

@@ -75,6 +75,27 @@ class TestExitCodes:
                             "--at", "x0=1,x1=3,x2=1,x3=1,x4=1,c=2"])
         assert code == 0 and report.results["t"] == 2.0
 
+    @pytest.mark.parametrize("argv", [
+        ["geometry", "--t", "x1 +"],
+        ["kerr", "verify", "--F", "t +", "--t", "x4"],
+        ["kerr", "section", "--H", "y1 +", "--at", "x0=1,x1=3,x2=1,x3=1,x4=1"],
+    ], ids=["geometry", "kerr-verify", "kerr-section"])
+    def test_unparsable_expression_is_input_error(self, argv):
+        code, report = run(argv)
+        assert code == 2 and report.status == "input-error"
+        assert report.results["error"]
+
+    def test_structure_shape_error_is_input_error(self, monkeypatch):
+        from engelkit import engel
+
+        def misshapen(acf):
+            raise engel.StructureShapeError("dw3 has an unexpected w0 ^ w4 term")
+
+        monkeypatch.setattr(engel, "invariants_from_structure_equations", misshapen)
+        code, report = run(["invariants", "--t", "x4"])
+        assert code == 2 and report.status == "input-error"
+        assert report.results["error"] == "dw3 has an unexpected w0 ^ w4 term"
+
     def test_transversality_is_input_error(self):
         code, report = run(["kerr", "section", "--H", "y1",
                             "--at", "x0=1,x1=3,x2=1,x3=1,x4=1"])
@@ -176,6 +197,17 @@ class TestKerrCommands:
                             "--at", "x0=1,x1=3,x2=1,x3=1,x4=1"])
         assert code == 0
         assert abs(report.results["t"] - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("command", [
+        ["kerr", "solve", "--F", "y2*t - (2*y3 - y1)"],
+        ["kerr", "section", "--H", "y2*y4 - (2*y3 - y1)", "--guess", "0.5"],
+    ], ids=["solve", "section"])
+    def test_default_tolerance(self, command):
+        argv = command + ["--at", "x0=1,x1=3,x2=1,x3=1,x4=1", "--format", "json"]
+        default = run(argv)
+        explicit = run(argv + ["--tol", "1e-10"])
+        assert default[0] == explicit[0] == 0
+        assert default[1].to_json() == explicit[1].to_json()
 
     def test_section_csv(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -372,6 +404,41 @@ class TestInjectedFaults:
         assert report.results["first_invariant_vanishes"] is (wrong_j == 0)
         assert report.results["growth"] == growth
         assert report.results["consistent"] is False
+
+    @pytest.mark.parametrize("command", ["cohomology", "normalization"])
+    def test_tanaka_structure_constant(self, monkeypatch, command):
+        from dataclasses import replace
+
+        from engelkit import g2alg, tanaka
+
+        alg = g2alg.commutator_table()
+        constants = {pair: dict(entry) for pair, entry in alg.constants.items()}
+        constants[(1, 4)][0] *= 2  # the Heisenberg pairing [E1, E4] = c E0
+        monkeypatch.setattr(tanaka, "commutator_table",
+                            lambda: replace(alg, constants=constants))
+        report = self.assert_failed(["tanaka", command])
+        assert report.results["pass"] is False
+        if command == "cohomology":
+            assert report.results["H1_full_l1..l4"] != [0, 0, 0, 0]
+        else:
+            assert report.results["image_full_dim"] != 16
+
+    def test_fibration_inverse_coordinate(self, monkeypatch):
+        from engelkit import kerr
+        from engelkit.symexpr import symbol
+
+        inverse = kerr.inverse_coordinate_map
+
+        def corrupted():
+            chart = inverse()
+            chart["x3"] = chart["x3"] + 2 * symbol("y4") * symbol("y5")  # x3 = y3 + x5 x4
+            return chart
+
+        monkeypatch.setattr(kerr, "inverse_coordinate_map", corrupted)
+        report = self.assert_failed(["fibration", "check"])
+        assert report.results["pass"] is False
+        assert report.results["round_trip_identity"] is False
+        assert report.results["forms_match"] == [True] * 6
 
     def test_tanaka_gl2_truncated_depths_pass(self):
         for depth in range(6):

@@ -63,6 +63,14 @@ class TestAdaptedCoframe:
             acf = adapted_coframe(random_quadratic(rng))
             assert det(acf.coframe.matrix) == integer(1)
 
+    @pytest.mark.parametrize("t", ["0", "x4", KERR_FAMILY, "x0*x1 - x2*x4"])
+    def test_volume_is_the_wedge_of_the_coframe(self, t):
+        acf = adapted_coframe(parse(t))
+        wedge = acf.omega[0]
+        for w in acf.omega[1:]:
+            wedge = wedge.wedge(w)
+        assert acf.volume() == wedge
+
     def test_marked_line_is_dual_to_last_form(self):
         t = parse("x0 - 2*x3*x4")
         acf = adapted_coframe(t)

@@ -151,13 +151,15 @@ def _cmd_invariants(args, report: Report) -> None:
     closed = engel.invariants_closed_form(acf)
     structural = engel.invariants_from_structure_equations(acf)
     table = {}
-    agree = True
+    disagreeing = []
     for name, value in closed.main_fields().items():
         table[name] = str(value)
         if not (value - getattr(structural, name)).is_zero:
-            agree = False
+            disagreeing.append(name)
     report.results["invariants"] = table
-    report.results["routes_agree"] = agree
+    report.results["routes_agree"] = not disagreeing
+    if disagreeing:
+        report.results["disagreeing"] = disagreeing
     try:
         label = engel.classify(acf)
         report.results["branch"] = label.leaf
@@ -166,7 +168,7 @@ def _cmd_invariants(args, report: Report) -> None:
     except engel.BranchNotConstantError as exc:
         report.results["branch"] = "non-constant"
         report.results["annotation"] = str(exc)
-    if not agree:
+    if disagreeing:
         report.status = FAILED
 
 
@@ -383,7 +385,14 @@ def _cmd_tanaka_prolong(args, report: Report) -> None:
     report.inputs["g0"] = args.g0
     if args.max_degree < 0:
         raise _InputError(f"--max-degree must be at least 0, got {args.max_degree}")
-    table = tanaka.tanaka_prolong(_g0_matrices(args.g0), max_degree=args.max_degree)
+    # --g0 names a built-in g0, so a precondition it fails is a failed check
+    try:
+        table = tanaka.tanaka_prolong(_g0_matrices(args.g0), max_degree=args.max_degree)
+        matches = tanaka.prolongation_matches_parabolic() if args.g0 == "borel" else None
+    except ValueError as exc:
+        report.results["failures"] = [str(exc)]
+        report.status = FAILED
+        return
     report.results["g0_dimension"] = table.g0_dim
     report.results["degree_dims"] = list(table.degree_dims)
     report.results["total_dimension"] = table.total_dimension
@@ -396,32 +405,46 @@ def _cmd_tanaka_prolong(args, report: Report) -> None:
             report.results["failures"] = [f"degree_dims != {expected}, the grades of G2"]
             report.status = FAILED
     if args.g0 == "borel":
-        report.results["matches_parabolic"] = tanaka.prolongation_matches_parabolic()
-        if not report.results["matches_parabolic"]:
+        report.results["matches_parabolic"] = matches
+        if not matches:
             report.status = FAILED
 
 
 def _cmd_tanaka_cohomology(args, report: Report) -> None:
     from . import tanaka
 
+    ranks: dict = {}  # C^1_1 -> C^2_1 of g serves H^1 at l = 1 and H^2
+    failures: list[str] = []
+
+    def dim(coefficients: str, q: int, homogeneity: int) -> int | None:
+        """The dimension, or None, with the failure named, where d o d != 0."""
+        try:
+            return tanaka.cohomology_dim(coefficients, q, homogeneity, ranks)
+        except tanaka.BrokenComplexError as exc:
+            failures.append(str(exc))
+            return None
+
     if args.degree is not None:
         coefficients = "g" if args.coefficients is None else args.coefficients
         homogeneity = 1 if args.homogeneity is None else args.homogeneity
-        dim = tanaka.cohomology_dim(coefficients, args.degree, homogeneity)
-        report.results["dimension"] = dim
+        report.results["dimension"] = dim(coefficients, args.degree, homogeneity)
+        if failures:
+            report.results["failures"] = failures
+            report.status = FAILED
         return
     for option, value in (("--coefficients", args.coefficients),
                           ("--homogeneity", args.homogeneity)):
         if value is not None:
             raise _InputError(f"{option} needs --degree; without it the "
                               "fixed battery runs")
-    ranks: dict = {}  # C^1_1 -> C^2_1 of g serves H^1 at l = 1 and H^2
     battery = {
-        "H1_full_l1..l4": [tanaka.cohomology_dim("g", 1, l, ranks) for l in (1, 2, 3, 4)],
-        "H2_full_hom1": tanaka.cohomology_dim("g", 2, 1, ranks),
-        "H2_parabolic_hom1": tanaka.cohomology_dim("q", 2, 1, ranks),
+        "H1_full_l1..l4": [dim("g", 1, l) for l in (1, 2, 3, 4)],
+        "H2_full_hom1": dim("g", 2, 1),
+        "H2_parabolic_hom1": dim("q", 2, 1),
     }
     report.results.update(battery)
+    if failures:
+        report.results["failures"] = failures
     ok = (battery["H1_full_l1..l4"] == [0, 0, 0, 0]
           and battery["H2_full_hom1"] == 8 and battery["H2_parabolic_hom1"] == 9)
     report.results["pass"] = ok

@@ -16,13 +16,16 @@ and extraction from the structure equations -- which the test-suite compares
 field by field.
 
 One :class:`AdaptedCoframe` is the whole per-marking analysis: it holds the
-coframe, its dual frame (built once) and the closed-form jet (computed on
-first use).  Every entry point accepts a marking as an expression, a
-:class:`MarkedStructure` or an :class:`AdaptedCoframe`; callers that run
-several of them on one marking build the coframe once with
-:func:`adapted_coframe` and pass it to each, so they share its frame and
-closed-form jet.  The structure-equation route shares only the coframe and
-extracts its own invariants, so the cross-check stays independent.
+coframe, its dual frame (built once) and the closed-form jet, the ten
+structure functions (computed on first use).  A reader that needs a frame
+derivative of one of them takes it from the coframe itself: the bundle
+torsions read those of J, the flat reduction xi1(a).  Every entry point
+accepts a marking as an expression, a :class:`MarkedStructure` or an
+:class:`AdaptedCoframe`; callers that run several of them on one marking
+build the coframe once with :func:`adapted_coframe` and pass it to each, so
+they share its frame and closed-form jet.  The structure-equation route
+shares only the coframe and extracts its own invariants, so the cross-check
+stays independent.
 
 The filtration attached to the marking is
 
@@ -118,7 +121,8 @@ class MarkedStructure:
 
 @dataclass
 class AdaptedCoframe:
-    """The five adapted 1-forms, their exact dual frame and the closed-form jet.
+    """The five adapted 1-forms, their exact dual frame and the closed-form jet
+    of the ten structure functions.
 
     The frame, and its Taylor jets at the seeded point of F_P, are built at
     most once per object; the jet is memoised on it by
@@ -197,13 +201,7 @@ def _frame_derivatives(cof: CoframeChart, f: Expr) -> list[Expr]:
 
 @dataclass
 class InvariantJet:
-    """The ten structure functions plus the derived frame-derivative data.
-
-    The named extras are the coefficients appearing in the expansions of
-    da, db, dc and dJ in the coframe basis.  ``mixed_gap`` records, for the
-    closed-form route, the differences between the two mixed second frame
-    derivatives (frame derivatives do not commute in general).
-    """
+    """The ten structure functions a, b, c, J, L, M, P, Q, R, S of a marking."""
 
     a: Expr
     b: Expr
@@ -215,20 +213,6 @@ class InvariantJet:
     Q: Expr
     R: Expr
     S: Expr
-    a_w0: Expr
-    a_w1: Expr
-    c_w0: Expr
-    J_w0: Expr
-    J_w1: Expr
-    J_w2: Expr
-    J_w3: Expr
-    J_w4: Expr
-    b_w0: Expr
-    b_w1: Expr
-    b_w2: Expr
-    b_w3: Expr
-    b_w4: Expr
-    mixed_gap: dict = field(default_factory=dict)
 
     def main_fields(self) -> dict[str, Expr]:
         return {name: getattr(self, name) for name in
@@ -260,21 +244,7 @@ def invariants_closed_form(t: Expr | MarkedStructure | AdaptedCoframe) -> Invari
     Q = 2 * tww[3][1] + tww[2][2] + 3 * tw[2] * tw[1]
     R = -tww[2][1] - 2 * tw[1] ** 2
     S = tww[1][1]
-
-    da = _frame_derivatives(cof, a)
-    db = _frame_derivatives(cof, b)
-    dc = _frame_derivatives(cof, c)
-    dJ = _frame_derivatives(cof, J)
-    gap = {(i, j): tww[i][j] - tww[j][i]
-           for i in range(5) for j in range(i + 1, 5)
-           if not (tww[i][j] - tww[j][i]).is_zero}
-    acf._jet = InvariantJet(
-        a=a, b=b, c=c, J=J, L=L, M=M, P=P, Q=Q, R=R, S=S,
-        a_w0=da[0], a_w1=da[1], c_w0=dc[0],
-        J_w0=dJ[0], J_w1=dJ[1], J_w2=dJ[2], J_w3=dJ[3], J_w4=dJ[4],
-        b_w0=db[0], b_w1=db[1], b_w2=db[2], b_w3=db[3], b_w4=db[4],
-        mixed_gap=gap,
-    )
+    acf._jet = InvariantJet(a=a, b=b, c=c, J=J, L=L, M=M, P=P, Q=Q, R=R, S=S)
     return acf._jet
 
 
@@ -307,7 +277,8 @@ def invariants_from_structure_equations(
     Reads a, b, c, J and the combination b^2 - 4ac + M - P off the expansions
     of dw1..dw3, then L, M + 3P, Q, R, S off the expansions of da, db, dc and
     dJ, and solves for M and P.  Every remaining displayed coefficient is
-    verified; a mismatch raises StructureShapeError.
+    verified; a mismatch raises StructureShapeError.  Only the ten functions
+    are returned: the expansions serve the checks.
     """
     acf = adapted_coframe(t)
     cof = acf.coframe
@@ -367,12 +338,7 @@ def invariants_from_structure_equations(
                       - dM[2] + dP[2] + 2 * b * Q - 4 * a * R) / 4,
             "db w0 coefficient")
 
-    return InvariantJet(
-        a=a, b=b, c=c, J=J, L=L, M=M, P=P, Q=Q, R=R, S=S,
-        a_w0=da[0], a_w1=da[1], c_w0=dc[0],
-        J_w0=dJ[0], J_w1=dJ[1], J_w2=dJ[2], J_w3=dJ[3], J_w4=dJ[4],
-        b_w0=db[0], b_w1=db[1], b_w2=db[2], b_w3=db[3], b_w4=db[4],
-    )
+    return InvariantJet(a=a, b=b, c=c, J=J, L=L, M=M, P=P, Q=Q, R=R, S=S)
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +687,7 @@ def tautological_forms(t: Expr | MarkedStructure | AdaptedCoframe) -> Tautologic
     w = _lift_omega(acf)
     s4, s5, s7, delta = (symbol(n) for n in ("s4", "s5", "s7", "delta"))
     a, b, c, J = inv.a, inv.b, inv.c, inv.J
+    dJ = _frame_derivatives(acf.coframe, J)
 
     theta0 = w[0] * (-delta ** 3)
     theta1 = w[0] * (s5 ** 3 * (3 * J * s5 * s7 - a * delta) / delta) + w[1] * s5 ** 3
@@ -749,12 +716,12 @@ def tautological_forms(t: Expr | MarkedStructure | AdaptedCoframe) -> Tautologic
     T102 = (s5 ** 2 * (delta ** 4 * inv.M
                        - 6 * delta * J * s4 * s5 ** 3
                        - 9 * c * delta ** 3 * J * s5 * s7
-                       - 3 * delta ** 3 * inv.J_w2 * s5 * s7
+                       - 3 * delta ** 3 * dJ[2] * s5 * s7
                        + 2 * delta ** 3 * inv.L * s5 * s7
                        - 9 * b * delta ** 2 * J * s5 ** 2 * s7 ** 2
-                       - 9 * delta ** 2 * inv.J_w3 * s5 ** 2 * s7 ** 2
+                       - 9 * delta ** 2 * dJ[3] * s5 ** 2 * s7 ** 2
                        + 21 * a * delta * J * s5 ** 3 * s7 ** 3
-                       - 9 * delta * inv.J_w4 * s5 ** 3 * s7 ** 3
+                       - 9 * delta * dJ[4] * s5 ** 3 * s7 ** 3
                        - 27 * J ** 2 * s5 ** 4 * s7 ** 4) / delta ** 8)
     lhs = theta1.d().wedge(theta1).wedge(theta3).wedge(theta4) \
         - theta4.d().wedge(theta0).wedge(theta1).wedge(theta4) * (T106 / 3)
@@ -815,7 +782,7 @@ def verify_flat_reduction() -> FlatReductionReport:
     d_delta = _d(ch, 8)
 
     a, b, c, J = inv.a, inv.b, inv.c, inv.J
-    a1 = inv.a_w1
+    a1 = _frame_derivatives(acf.coframe, a)[1]
     Q, R = inv.Q, inv.R
 
     s1 = -a * s5 ** 3

@@ -27,6 +27,7 @@ __all__ = [
     "tanaka_prolong",
     "cohomology_dim",
     "cochain_dims",
+    "BrokenComplexError",
     "normalization_obstruction",
     "NormalizationReport",
     "prolongation_matches_parabolic",
@@ -434,12 +435,18 @@ def _boundary_rank(coefficients: str, q: int, homogeneity: int,
     return ranks[key]
 
 
+class BrokenComplexError(Exception):
+    """The boundary maps of a cochain complex do not compose to zero."""
+
+
 def cohomology_dim(coefficients: str, q: int, homogeneity: int,
                    ranks: dict | None = None) -> int:
     """dim H^q(m, V)_l with V the full algebra ('g') or the parabolic ('q').
 
     Callers that ask for several dimensions pass one ``ranks`` dict to all
-    of them, so that each boundary matrix is built and ranked once.
+    of them, so that each boundary matrix is built and ranked once.  When
+    the ranks into and out of C^q_l add up to more than its dimension, d o d
+    is not zero and BrokenComplexError is raised.
     """
     ranks = {} if ranks is None else ranks
     dim, rank_out = _boundary_rank(coefficients, q, homogeneity, ranks)
@@ -448,6 +455,11 @@ def cohomology_dim(coefficients: str, q: int, homogeneity: int,
     if q == 0:
         return dim - rank_out
     _, rank_in = _boundary_rank(coefficients, q - 1, homogeneity, ranks)
+    if rank_in + rank_out > dim:
+        raise BrokenComplexError(
+            f"d o d != 0 at C^{q}_{homogeneity} with coefficients in "
+            f"{coefficients!r}: rank in {rank_in} + rank out {rank_out} "
+            f"> dim {dim}")
     return dim - rank_out - rank_in
 
 

@@ -423,6 +423,77 @@ class TestInjectedFaults:
         else:
             assert report.results["image_full_dim"] != 16
 
+    @staticmethod
+    def double_heisenberg_pairing(monkeypatch):
+        """c^0_14 doubled in the table `tanaka` reads: Jacobi fails."""
+        from dataclasses import replace
+
+        from engelkit import g2alg, tanaka
+
+        alg = g2alg.commutator_table()
+        constants = {pair: dict(entry) for pair, entry in alg.constants.items()}
+        constants[(1, 4)][0] *= 2
+        monkeypatch.setattr(tanaka, "commutator_table",
+                            lambda: replace(alg, constants=constants))
+
+    def test_tanaka_cohomology_names_the_broken_complex(self, monkeypatch):
+        self.double_heisenberg_pairing(monkeypatch)
+        report = self.assert_failed(["tanaka", "cohomology"])
+        assert report.results["H1_full_l1..l4"] == [None, None, 0, 0]
+        assert report.results["failures"] == [
+            "d o d != 0 at C^1_1 with coefficients in 'g': rank in 4 + rank out 20 "
+            "> dim 20",
+            "d o d != 0 at C^1_2 with coefficients in 'g': rank in 1 + rank out 20 "
+            "> dim 20"]
+        report = self.assert_failed(["tanaka", "cohomology", "--degree", "1",
+                                     "--homogeneity", "2"])
+        assert report.results["dimension"] is None
+        assert report.results["failures"][0].startswith("d o d != 0 at C^1_2")
+
+    def test_tanaka_borel_structure_constant(self, monkeypatch):
+        # the Borel matrices stop preserving the doubled pairing
+        self.double_heisenberg_pairing(monkeypatch)
+        report = self.assert_failed(["tanaka", "prolong", "--g0", "borel"])
+        assert report.results["failures"] == [
+            "matrix does not extend to a graded derivation"]
+        code, report = run(["tanaka", "prolong", "--g0", "borel", "--max-degree", "-1"])
+        assert code == 2 and report.status == "input-error"
+
+    def test_invariants_structure_route(self, monkeypatch):
+        from dataclasses import replace
+
+        from engelkit import engel
+
+        code, report = run(["invariants", "--t", "x4"])
+        assert code == 0 and "disagreeing" not in report.results
+        structural = engel.invariants_from_structure_equations
+
+        def shifted(acf):
+            inv = structural(acf)
+            return replace(inv, M=inv.M + 1)
+
+        monkeypatch.setattr(engel, "invariants_from_structure_equations", shifted)
+        report = self.assert_failed(["invariants", "--t", "x4"])
+        assert report.results["routes_agree"] is False
+        assert report.results["disagreeing"] == ["M"]
+
+    def test_reduction_lifted_w4(self, monkeypatch):
+        from engelkit import engel
+
+        lift = engel._lift_omega
+
+        def doubled(acf):
+            w = lift(acf)
+            w[4] = w[4] * 2
+            return w
+
+        monkeypatch.setattr(engel, "_lift_omega", doubled)
+        report = self.assert_failed(["reduction", "verify-flat"])
+        assert report.results["pass"] is False
+        assert sorted(report.results["failures"]) == ["e0", "e4"]
+        assert [name for name, ok in report.results["equations"].items()
+                if not ok] == ["e0", "e4"]
+
     def test_fibration_inverse_coordinate(self, monkeypatch):
         from engelkit import kerr
         from engelkit.symexpr import symbol

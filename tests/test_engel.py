@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from engelkit.engel import (
     BranchNotConstantError,
+    InvariantJet,
     MarkedStructure,
     StructureShapeError,
     adapted_coframe,
@@ -107,6 +109,28 @@ class TestClosedFormInvariants:
     def test_flat(self):
         inv = invariants_closed_form(integer(0))
         assert all(v.is_zero for v in inv.main_fields().values())
+
+    def test_jet_is_the_ten_structure_functions(self):
+        names = [f.name for f in dataclasses.fields(InvariantJet)]
+        assert names == ["a", "b", "c", "J", "L", "M", "P", "Q", "R", "S"]
+        assert list(invariants_closed_form(parse("x4")).main_fields()) == names
+
+    def test_six_frame_derivatives_per_jet(self, monkeypatch):
+        # df for t and for each of its five frame derivatives, nothing else
+        from engelkit import engel
+
+        calls = []
+        frame_derivatives = engel._frame_derivatives
+
+        def counting(cof, f):
+            calls.append(f)
+            return frame_derivatives(cof, f)
+
+        monkeypatch.setattr(engel, "_frame_derivatives", counting)
+        acf = adapted_coframe(parse("x1*x4 + x3^2"))
+        invariants_closed_form(acf)
+        invariants_closed_form(acf)
+        assert len(calls) == 6
 
     def test_kerr_family_is_integrable(self):
         inv = invariants_closed_form(parse(KERR_FAMILY))

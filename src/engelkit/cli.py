@@ -304,12 +304,11 @@ def _cmd_kerr_section(args, report: Report) -> None:
     report.results["max_j_residual"] = rep.max_j_residual
     report.results["values"] = [s.t_value for s in rep.samples]
     if args.csv:
-        with open(args.csv, "w") as handle:
-            handle.write(",".join([f"x{i}" for i in range(5)] + ["t", "f_residual", "j_residual"]) + "\n")
-            for s in rep.samples:
-                row = [s.point[f"x{i}"] for i in range(5)] + \
-                    [s.t_value, s.f_residual, s.j_residual]
-                handle.write(",".join(repr(v) for v in row) + "\n")
+        lines = [",".join([f"x{i}" for i in range(5)] + ["t", "f_residual", "j_residual"])]
+        for s in rep.samples:
+            row = [s.point[f"x{i}"] for i in range(5)] + [s.t_value, s.f_residual, s.j_residual]
+            lines.append(",".join(repr(v) for v in row))
+        _write("--csv", args.csv, "".join(line + "\n" for line in lines))
         report.results["csv"] = args.csv
 
 
@@ -413,13 +412,13 @@ def _cmd_tanaka_prolong(args, report: Report) -> None:
 def _cmd_tanaka_cohomology(args, report: Report) -> None:
     from . import tanaka
 
-    ranks: dict = {}  # C^1_1 -> C^2_1 of g serves H^1 at l = 1 and H^2
+    boundaries: dict = {}  # C^1_1 -> C^2_1 of g serves H^1 at l = 1 and H^2
     failures: list[str] = []
 
     def dim(coefficients: str, q: int, homogeneity: int) -> int | None:
         """The dimension, or None, with the failure named, where d o d != 0."""
         try:
-            return tanaka.cohomology_dim(coefficients, q, homogeneity, ranks)
+            return tanaka.cohomology_dim(coefficients, q, homogeneity, boundaries)
         except tanaka.BrokenComplexError as exc:
             failures.append(str(exc))
             return None
@@ -559,6 +558,15 @@ class _InputError(Exception):
     pass
 
 
+def _write(option: str, path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {option} {path}: {exc.strerror or exc}") from exc
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; ``parse_args`` can be reused."""
@@ -666,15 +674,23 @@ def _execute(argv: list[str]) -> tuple[int, Report, str]:
         raise _CliUsage(int(exc.code or 0)) from exc
     name = args.command + (f" {args.subcommand}" if hasattr(args, "subcommand") else "")
     report = Report(command=name)
+
+    def render() -> str:
+        return report.to_json() if args.format == "json" else report.to_text()
+
     try:
         args.handler(args, report)
     except (ValueError, _InputError) as exc:
         report.status = INPUT_ERROR
         report.results["error"] = str(exc)
-    text = report.to_json() if args.format == "json" else report.to_text()
+    text = render()
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            _write("--out", args.out, text + "\n")
+        except _InputError as exc:
+            report.status = INPUT_ERROR
+            report.results["error"] = str(exc)
+            text = render()
     code = {OK: 0, FAILED: 1, INPUT_ERROR: 2}[report.status]
     return code, report, text
 

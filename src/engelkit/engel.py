@@ -529,8 +529,10 @@ def geometric_checks(t: Expr | MarkedStructure | AdaptedCoframe) -> GeometryRepo
     The growth, the derived rank and the line type are ranked at the seeded
     point of F_P first, on the frame's jets, when J is not zero: then every
     one of them is full, and the point proves it without symbolic brackets.
-    When J = 0 none of them is full, so the point is not tried.  Any rank the
-    point leaves open is computed symbolically.
+    When J = 0 none of them is full, so the jets are not built.  Any rank the
+    jets leave open is taken of the symbolic rows, which
+    :func:`~engelkit.forms.certified_rank` ranks at the same point before it
+    eliminates.
     """
     acf = adapted_coframe(t)
     inv = invariants_closed_form(acf)

@@ -8,24 +8,23 @@ with nonzero coefficients are kept.
 Sign conventions: for 1-forms ``(α∧β)(X, Y) = α(X)β(Y) − α(Y)β(X)``, and the
 exterior derivative satisfies ``dθ(X, Y) = X·θ(Y) − Y·θ(X) − θ([X, Y])``.
 
-Ranks over the rational-function field are certified (:func:`certified_rank`).
-A minor that is nonzero at a rational point where every entry is defined is a
-nonzero rational function (Schwartz 1980; Zippel 1979), so the exact rank of
-the matrix evaluated at such a point is a proved lower bound on its generic
-rank.  When that bound meets the structural upper bound min(rows, columns) it
-is the answer; otherwise the rank comes from symbolic elimination.  Points
-never prove a dependency, so every rank-deficient answer is symbolic.
+Ranks over the rational-function field are certified (:func:`certified_rank`)
+at one seeded point q of F_P^n, P = 2^61 - 1.  Let R be the rational
+functions n/d with n and d integer polynomials and d(q) nonzero mod P.  R is
+a ring, closed under every partial derivative, and n/d -> n(q)/d(q) mod P is
+a ring homomorphism from R to F_P.  So an r x r minor with entries in R that
+is nonzero mod P at q is a nonzero rational function (Schwartz 1980; Zippel
+1979), and the rank is >= r.  When that bound meets the structural upper
+bound min(rows, columns) it is the answer; otherwise the rank comes from
+symbolic elimination.  The point never proves a dependency, so every
+rank-deficient answer is symbolic, and so is every rank of a matrix with an
+entry whose canonical denominator vanishes at q mod P.
 
-The same certificate holds at a point q of F_P^n, P = 2^61 - 1, and there the
-rows need not be built symbolically at all.  Let R be the rational functions
-n/d with n and d integer polynomials and d(q) nonzero mod P.  R is a ring,
-closed under every partial derivative, and n/d -> n(q)/d(q) mod P is a ring
-homomorphism from R to F_P.  So an r x r minor with entries in R that is
-nonzero mod P at q is a nonzero rational function, and the rank is >= r.  The
-Taylor coefficients (∂^a f)(q)/a! of f in R map to F_P as well (a! < P), and
-those of f + g, f*g and ∂_i f follow from those of f and g by the Leibniz rule,
-which the homomorphism respects.  So the values at q of the entries of
-brackets and Lie derivatives built from the frame are read off
+The rows need not be built symbolically at all.  The Taylor coefficients
+(∂^a f)(q)/a! of f in R map to F_P as well (a! < P), and those of f + g, f*g
+and ∂_i f follow from those of f and g by the Leibniz rule, which the
+homomorphism respects.  So the values at q of the entries of brackets and
+Lie derivatives built from the frame are read off
 :class:`~engelkit.jets.Jet` arithmetic on the frame's truncated expansions
 (Griewank & Walther, *Evaluating Derivatives*, ch. 13), with one order used
 up per derivative.  Over jets run, unchanged: :meth:`VectorField.apply`,
@@ -42,14 +41,12 @@ where a canonical denominator vanishes mod P yields no jets at all
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from . import linalg
+from . import jets, linalg
 from .jets import P, Jet
-from .symexpr import Expr, PoleError, VarKind, make_var, symbol
+from .symexpr import Expr, VarKind, make_var, symbol
 
 __all__ = [
     "Chart",
@@ -451,29 +448,14 @@ class CoframeChart:
         return result
 
 
-# Sample points for certified_rank: each variable's value at point k is drawn
-# from a generator seeded by its name and k alone, so it does not depend on
-# the matrix or on the interpreter's hash seed.
-SAMPLE_POINTS = 3
-
-
-def sample_value(name: str, k: int) -> Fraction:
-    """Value of the variable ``name`` at sample point ``k``."""
-    rng = random.Random(f"certified_rank/{name}/{k}")
-    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 997), rng.randint(1, 997))
-
-
 def certified_rank(rows: Sequence[Sequence[Expr | Jet]]) -> int | None:
     """Rank of a matrix of expressions over the rational-function field.
 
-    The matrix is evaluated exactly at ``SAMPLE_POINTS`` seeded rational
-    points, skipping those where an entry has a pole.  The rank at each such
-    point is a proved lower bound; when one reaches min(rows, columns) it is
-    the rank.  Otherwise the rank comes from symbolic elimination.
-
-    A matrix of jets is ranked mod P on its values.  That rank is returned
-    only when it is min(rows, columns); otherwise the answer is None, and
-    the caller ranks the symbolic rows instead.
+    The matrix is ranked mod P at the seeded point of F_P
+    (:func:`engelkit.jets.point_value`).  That rank proves the answer when
+    it is min(rows, columns).  Otherwise a matrix of expressions is ranked
+    by symbolic elimination, and a matrix of jets gets None, so that the
+    caller ranks the symbolic rows instead.
     """
     if not rows:
         return 0
@@ -481,16 +463,13 @@ def certified_rank(rows: Sequence[Sequence[Expr | Jet]]) -> int | None:
     if isinstance(rows[0][0], Jet):
         values = [[e.value for e in row] for row in rows]
         return full if linalg.rank_mod(values, P) == full else None
-    names = sorted({v.name for row in rows for e in row for v in e.occurring_vars()})
-    for k in range(SAMPLE_POINTS):
-        point = {name: sample_value(name, k) for name in names}
-        try:
-            values = [[e.evaluate(point) for e in row] for row in rows]
-        except PoleError:
-            continue
-        if linalg.rank(values) == full:
-            return full
-    return linalg.rank(rows)
+    names = {v.name for row in rows for e in row for v in e.occurring_vars()}
+    point = {name: jets.point_value(name) for name in names}
+    try:
+        values = [[Jet.from_expr(e, (), point).value for e in row] for row in rows]
+    except ZeroDivisionError:  # an entry has a pole at the point
+        return linalg.rank(rows)
+    return full if linalg.rank_mod(values, P) == full else linalg.rank(rows)
 
 
 def generic_rank(fields: Sequence[VectorField]) -> int | None:

@@ -13,7 +13,8 @@ expansion is exact at every order.
 
 :meth:`Jet.from_expr` expands an expression's numerator and denominator
 at q + h, term by term, and inverts the denominator as a geometric series.
-It raises ZeroDivisionError when the denominator vanishes at q mod P.
+It raises ZeroDivisionError when the denominator vanishes at q mod P.  With
+no coordinates, the jet is a constant: the expression's value at q mod P.
 
 Why the values prove ranks is set out in :mod:`engelkit.forms`.  This
 module computes in integers only.
@@ -210,7 +211,7 @@ def _expand(terms, names: Sequence[str], coordinates: Sequence[str],
             else:
                 key[pos] = e
         key = tuple(key)
-        current[key] = current.get(key, 0) + c
+        current[key] = (current.get(key, 0) + c) % P
     for v in range(dim):
         q = values[coordinates[v]]
         shifted: dict[tuple[int, ...], int] = {}

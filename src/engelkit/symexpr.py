@@ -915,16 +915,16 @@ class Expr:
         missing = [v.name for v in occurring if v.name not in values]
         if missing:
             raise UnassignedVariableError(f"unassigned variables: {', '.join(missing)}")
-        if all(not isinstance(values[v.name], float) for v in occurring):
-            return self._evaluate_exact(values, occurring)
+        exact = all(not isinstance(values[v.name], float) for v in occurring)
 
         def eval_poly(poly):
-            total = 0.0
+            total = Fraction(0) if exact else 0.0
             for mon, coeff in poly.terms():
-                term = float(coeff)
+                term = Fraction(int(coeff)) if exact else float(coeff)
                 for var, exp in zip(self._vars, mon):
                     if exp:
-                        term *= float(values[var.name]) ** exp
+                        val = values[var.name]
+                        term *= (Fraction(val) if exact else float(val)) ** exp
                 total += term
             return total
 
@@ -932,41 +932,6 @@ class Expr:
         if den == 0:
             raise PoleError("denominator vanishes at the evaluation point")
         return eval_poly(self._elem.numer) / den
-
-    def _evaluate_exact(self, values: Mapping[str, Number],
-                        occurring: tuple[Var, ...]) -> Fraction:
-        """The value at a rational point, in integer arithmetic: with the
-        value ``p_v/q_v`` of each variable ``v`` and a polynomial's degree
-        ``D_v`` in ``v``, the polynomial times ``prod q_v^D_v`` is the
-        integer sum over its terms of ``c * prod p_v^e_v * q_v^(D_v - e_v)``.
-        One ``Fraction`` is built at the end."""
-        rationals = [(i, Fraction(values[v.name])) for i, v in enumerate(self._vars)
-                     if v in occurring]
-
-        def scaled(poly) -> tuple[int, int]:
-            """``(s, q)`` with ``poly`` equal to ``s/q`` at the point."""
-            degrees = tuple(map(max, zip(*poly.itermonoms())))
-            tables, scale = [], 1
-            for i, r in rationals:
-                d = degrees[i]
-                if d:
-                    p, q = r.numerator, r.denominator
-                    tables.append((i, [p ** e * q ** (d - e) for e in range(d + 1)]))
-                    scale *= q ** d
-            total = 0
-            for mon, c in poly.items():
-                for i, powers in tables:
-                    c *= powers[mon[i]]
-                total += c
-            return total, scale
-
-        den, den_scale = scaled(self._elem.denom)
-        if den == 0:
-            raise PoleError("denominator vanishes at the evaluation point")
-        if not self._elem.numer:
-            return Fraction(0)
-        num, num_scale = scaled(self._elem.numer)
-        return Fraction(num * den_scale, num_scale * den)
 
     # -- printing ----------------------------------------------------------
 
@@ -1081,12 +1046,18 @@ class _Parser:
     term   := factor (("*"|"/") factor)*
     factor := atom ("^" integer)? | "-" factor
     atom   := integer | identifier | "(" expr ")"
+
+    Parentheses and unary minus signs nest at most ``MAX_DEPTH`` deep, so
+    that a deeply nested input is a syntax error and not a RecursionError.
     """
+
+    MAX_DEPTH = 100
 
     def __init__(self, text: str, kinds: Mapping[str, VarKind]):
         self.tokens = _tokenize(text)
         self.kinds = kinds
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -1095,6 +1066,12 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def nest(self, pos: int):
+        self.depth += 1
+        if self.depth > self.MAX_DEPTH:
+            raise SyntaxExprError(
+                f"parentheses and minus signs nested more than {self.MAX_DEPTH} deep", pos)
 
     def expect_op(self, op: str):
         kind, value, pos = self.peek()
@@ -1138,10 +1115,13 @@ class _Parser:
                 return value
 
     def factor(self) -> Expr:
-        kind, op, _ = self.peek()
+        kind, op, pos = self.peek()
         if kind == "op" and op == "-":
             self.advance()
-            return -self.factor()
+            self.nest(pos)
+            value = -self.factor()
+            self.depth -= 1
+            return value
         value = self.atom()
         kind, op, pos = self.peek()
         if kind == "op" and op == "^":
@@ -1171,8 +1151,10 @@ class _Parser:
             except ExprError as exc:
                 raise SyntaxExprError(str(exc), pos) from exc
         if kind == "op" and text == "(":
+            self.nest(pos)
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise SyntaxExprError("expected a number, identifier or parenthesis", pos)
 

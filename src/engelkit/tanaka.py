@@ -424,15 +424,15 @@ def cochain_dims(coefficients: str, q: int, homogeneity: int) -> int:
     return len(_cochain_basis(idx, grades, q, homogeneity))
 
 
-def _boundary_rank(coefficients: str, q: int, homogeneity: int,
-                   ranks: dict) -> tuple[int, int]:
-    """``(dim C^q_l, rank of C^q_l -> C^{q+1}_l)``, read from ``ranks`` when
-    it holds them and stored there otherwise."""
+def _boundary(coefficients: str, q: int, homogeneity: int,
+              boundaries: dict) -> tuple[Mat, int, int]:
+    """``(matrix of C^q_l -> C^{q+1}_l, dim C^q_l, its rank)``, read from
+    ``boundaries`` when it holds them and stored there otherwise."""
     key = (coefficients, q, homogeneity)
-    if key not in ranks:
+    if key not in boundaries:
         matrix, src, _ = _boundary_matrix(coefficients, q, homogeneity)
-        ranks[key] = (len(src), linalg.rank(matrix) if matrix and src else 0)
-    return ranks[key]
+        boundaries[key] = (matrix, len(src), linalg.rank(matrix) if matrix and src else 0)
+    return boundaries[key]
 
 
 class BrokenComplexError(Exception):
@@ -440,26 +440,24 @@ class BrokenComplexError(Exception):
 
 
 def cohomology_dim(coefficients: str, q: int, homogeneity: int,
-                   ranks: dict | None = None) -> int:
+                   boundaries: dict | None = None) -> int:
     """dim H^q(m, V)_l with V the full algebra ('g') or the parabolic ('q').
 
-    Callers that ask for several dimensions pass one ``ranks`` dict to all
-    of them, so that each boundary matrix is built and ranked once.  When
-    the ranks into and out of C^q_l add up to more than its dimension, d o d
-    is not zero and BrokenComplexError is raised.
+    Callers that ask for several dimensions pass one ``boundaries`` dict to
+    all of them, so that each boundary matrix is built and ranked once.  When
+    the product of the maps into and out of C^q_l is not zero, d o d is not
+    zero and BrokenComplexError is raised.
     """
-    ranks = {} if ranks is None else ranks
-    dim, rank_out = _boundary_rank(coefficients, q, homogeneity, ranks)
+    boundaries = {} if boundaries is None else boundaries
+    d_out, dim, rank_out = _boundary(coefficients, q, homogeneity, boundaries)
     if not dim:
         return 0
     if q == 0:
         return dim - rank_out
-    _, rank_in = _boundary_rank(coefficients, q - 1, homogeneity, ranks)
-    if rank_in + rank_out > dim:
+    d_in, _, rank_in = _boundary(coefficients, q - 1, homogeneity, boundaries)
+    if d_out and d_in and any(any(row) for row in linalg.mat_mul(d_out, d_in)):
         raise BrokenComplexError(
-            f"d o d != 0 at C^{q}_{homogeneity} with coefficients in "
-            f"{coefficients!r}: rank in {rank_in} + rank out {rank_out} "
-            f"> dim {dim}")
+            f"d o d != 0 at C^{q}_{homogeneity} with coefficients in {coefficients!r}")
     return dim - rank_out - rank_in
 
 

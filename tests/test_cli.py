@@ -136,6 +136,17 @@ class TestExpressionOptions:
         assert spaced[1].to_json() == joined[1].to_json()
         assert spaced[1].inputs["F"] == "-y2 + t"
 
+    @pytest.mark.parametrize("option", ["--t", "--F", "--H"])
+    @pytest.mark.parametrize("text", ["(" * 1000 + "x3" + ")" * 1000, "-" * 5000 + "x3"],
+                             ids=["parentheses", "minus-signs"])
+    def test_deep_nesting_is_input_error(self, option, text):
+        command = {"--t": ["invariants"],
+                   "--F": ["kerr", "verify", "--t", "x4"],
+                   "--H": ["kerr", "section", "--at", "x0=1,x1=3,x2=1,x3=1,x4=1"]}[option]
+        code, report = run([*command, f"{option}={text}"])
+        assert code == 2 and report.status == "input-error"
+        assert "nested more than" in report.results["error"]
+
     def test_missing_value_is_still_a_usage_error(self, capsys):
         assert main(["geometry", "--t", "--format", "json"]) == 2
         assert main(["geometry", "--bogus"]) == 2
@@ -295,6 +306,21 @@ class TestReports:
         data = json.loads(out.read_text())
         assert data["results"]["branch"] == "flat"
 
+    @pytest.mark.parametrize("argv,option", [
+        (["cubic", "verify"], "--out"),
+        (["kerr", "section", "--H", "y2*y4 - (2*y3 - y1)", "--guess", "0.5",
+          "--at", "x0=1,x1=3,x2=1,x3=1,x4=1"], "--csv"),
+    ], ids=["out", "csv"])
+    def test_unwritable_output_path_is_input_error(self, tmp_path, capsys, argv, option):
+        path = str(tmp_path / "missing" / "report")
+        code, report = run([*argv, option, path])
+        assert code == 2 and report.status == "input-error"
+        assert report.results["error"].startswith(f"cannot write {option} {path}: ")
+        assert main([*argv, option, path, "--format", "json"]) == 2
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["status"] == "input-error"
+        assert path in printed["results"]["error"]
+
     def test_text_rendering_has_status(self):
         code, report = run(["growth", "--t", "x4"])
         text = report.to_text()
@@ -440,11 +466,13 @@ class TestInjectedFaults:
         self.double_heisenberg_pairing(monkeypatch)
         report = self.assert_failed(["tanaka", "cohomology"])
         assert report.results["H1_full_l1..l4"] == [None, None, 0, 0]
+        assert report.results["H2_full_hom1"] is None
+        assert report.results["H2_parabolic_hom1"] is None
         assert report.results["failures"] == [
-            "d o d != 0 at C^1_1 with coefficients in 'g': rank in 4 + rank out 20 "
-            "> dim 20",
-            "d o d != 0 at C^1_2 with coefficients in 'g': rank in 1 + rank out 20 "
-            "> dim 20"]
+            "d o d != 0 at C^1_1 with coefficients in 'g'",
+            "d o d != 0 at C^1_2 with coefficients in 'g'",
+            "d o d != 0 at C^2_1 with coefficients in 'g'",
+            "d o d != 0 at C^2_1 with coefficients in 'q'"]
         report = self.assert_failed(["tanaka", "cohomology", "--degree", "1",
                                      "--homogeneity", "2"])
         assert report.results["dimension"] is None
@@ -510,6 +538,24 @@ class TestInjectedFaults:
         assert report.results["pass"] is False
         assert report.results["round_trip_identity"] is False
         assert report.results["forms_match"] == [True] * 6
+
+    @pytest.mark.parametrize("command", [
+        ["kerr", "solve", "--F", "y2*t - (2*y3 - y1)"],
+        ["kerr", "section", "--H", "y2*y4 - (2*y3 - y1)", "--guess", "0.5"],
+    ], ids=["solve", "section"])
+    def test_kerr_base_expression(self, monkeypatch, command):
+        from engelkit import kerr
+        from engelkit.symexpr import symbol
+
+        y_of = kerr.y_of
+
+        def bent(t=None):
+            y0, y1, y2, y3 = y_of(t)
+            return y0, y1, y2, y3 + (symbol("t") if t is None else t) * symbol("x4")
+
+        monkeypatch.setattr(kerr, "y_of", bent)
+        report = self.assert_failed(command + ["--at", "x0=1,x1=3,x2=1,x3=1,x4=1"])
+        assert report.results["error"].startswith("integrability residual ")
 
     def test_tanaka_gl2_truncated_depths_pass(self):
         for depth in range(6):

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engelkit import linalg
+from engelkit import jets, linalg
 from engelkit.forms import (
-    SAMPLE_POINTS,
     Chart,
     CoframeChart,
     DifferentialForm,
@@ -22,7 +21,6 @@ from engelkit.forms import (
     interior_product,
     lie_bracket,
     lie_derivative,
-    sample_value,
     type_of,
 )
 from engelkit.symexpr import Expr, integer, parse, symbol
@@ -318,25 +316,28 @@ class TestCertifiedRank:
         assert certified_rank(rows) == 2
         assert symbolic_calls == []
 
-    def test_points_at_a_pole_are_skipped(self, symbolic_calls):
+    def test_pole_at_the_point_falls_back(self, symbolic_calls):
         x1 = sym("x1")
-        pole = integer(1) / (x1 - sample_value("x1", 0))
-        rows = [[pole, integer(0)], [integer(0), x1]]
-        assert certified_rank(rows) == 2
-        assert symbolic_calls == []
-
-    def test_poles_at_every_point_fall_back(self, symbolic_calls):
-        x1 = sym("x1")
-        den = integer(1)
-        for k in range(SAMPLE_POINTS):
-            den = den * (x1 - sample_value("x1", k))
-        rows = [[integer(1) / den, integer(0)], [integer(0), x1]]
-        assert certified_rank(rows) == 2
+        pole = integer(1) / (x1 - jets.point_value("x1"))
+        rows = [[pole, pole * x1], [integer(1), x1]]
+        assert certified_rank(rows) == 1
         assert symbolic_calls == [2]
 
-    def test_sample_values_are_seeded(self):
-        assert sample_value("x1", 0) == sample_value("x1", 0)
-        assert len({sample_value("x1", k) for k in range(SAMPLE_POINTS)}) == SAMPLE_POINTS
+    @pytest.mark.parametrize("build,rank", [
+        (lambda x1, x2, v: [[x1, x2 ** 2, integer(1)],
+                            [integer(1) / (x1 + x2), x1 * x2, x2]], 2),
+        (lambda x1, x2, v: [[x1, x1 ** 2], [integer(1), x1]], 1),
+        # full over Q(x), but x1 - v vanishes at the point
+        (lambda x1, x2, v: [[x1 - v, integer(0)], [integer(0), integer(1)]], 2),
+    ], ids=["full", "deficient", "full-off-the-point"])
+    def test_expressions_and_their_jets_get_the_same_point_decision(
+            self, symbolic_calls, build, rank):
+        rows = build(sym("x1"), sym("x2"), jets.point_value("x1"))
+        point = {name: jets.point_value(name) for name in X5.names}
+        jet_rows = [[jets.Jet.from_expr(e, X5.names, point) for e in row] for row in rows]
+        assert certified_rank(rows) == rank
+        decided_at_the_point = symbolic_calls == []
+        assert certified_rank(jet_rows) == (rank if decided_at_the_point else None)
 
     def test_empty_matrix(self):
         assert certified_rank([]) == 0

@@ -6,7 +6,7 @@ import ast
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from engelkit import engel, forms, jets, linalg
@@ -75,6 +75,22 @@ def test_jet_arithmetic_matches_expr_arithmetic(a, b, values, v):
     for got, want in ((ja + jb, a + b), (ja - jb, a - b), (ja * jb, a * b),
                       (3 - ja, 3 - a), (ja * -2, a * -2)):
         assert got.partial(v).value == mod_p(want.diff(COORDS[v]).evaluate(point))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_functions(),
+       st.lists(st.sampled_from([0, 1, 2, P - 1, P - 2]), min_size=len(NAMES),
+                max_size=len(NAMES)))
+@example(parse("1/(x4 - x3)"), [7] * len(NAMES))
+@example(parse("x1/(x0 + x1)"), [P - 1, 1, 0, 0, 0, 0])
+def test_jet_without_coordinates_is_the_value_mod_p(e, values):
+    # small values and their negatives mod P make denominators vanish often
+    point = dict(zip(NAMES, values))
+    if e.denominator().evaluate(point) % P == 0:
+        with pytest.raises(ZeroDivisionError):
+            Jet.from_expr(e, (), point)
+    else:
+        assert Jet.from_expr(e, (), point).value == mod_p(e.evaluate(point))
 
 
 def test_order_zero_jet_has_no_derivative():

@@ -83,6 +83,18 @@ class TestParse:
         with pytest.raises(SyntaxExprError):
             parse("(x1 + x2")
 
+    @pytest.mark.parametrize("text", ["(" * 1000 + "x3" + ")" * 1000, "-" * 5000 + "x3"],
+                             ids=["parentheses", "minus-signs"])
+    def test_deep_nesting_is_a_syntax_error(self, text):
+        with pytest.raises(SyntaxExprError, match="nested more than 100 deep") as err:
+            parse(text)
+        assert err.value.pos == 100
+
+    def test_nesting_up_to_the_limit_parses(self):
+        assert parse("(" * 100 + "x3" + ")" * 100) == symbol("x3")
+        assert parse("-" * 100 + "x3") == symbol("x3")
+        assert parse("-(" * 50 + "x3" + ")" * 50) == symbol("x3")
+
     def test_literal_zero_denominator(self):
         with pytest.raises(SyntaxExprError):
             parse("x1/(x2 - x2)")
@@ -439,12 +451,11 @@ class TestCofactorRules:
         assert e.partial(name)._key() == parse(expected)._key()
 
 
-# -- exact evaluation in integers ---------------------------------------------
+# -- exact evaluation -----------------------------------------------------------
 
 
 def _evaluate_reference(e, point):
-    """``Expr.evaluate``'s exact loop before it worked in integers: one
-    ``Fraction`` per term."""
+    """The exact value written out independently: one ``Fraction`` per term."""
     values = dict(point)
     missing = [v.name for v in e.occurring_vars() if v.name not in values]
     if missing:

@@ -74,6 +74,7 @@ __all__ = [
     "invariants_closed_form",
     "invariants_from_structure_equations",
     "J_coordinate",
+    "J_polynomial",
     "classify",
     "classify_at",
     "geometric_checks",
@@ -97,8 +98,16 @@ def _d(chart: Chart, i: int) -> DifferentialForm:
     return DifferentialForm.differential(chart, i)
 
 
-def _contact_form(chart: Chart) -> DifferentialForm:
-    return _d(chart, 0) + _d(chart, 4) * symbol("x1") - _d(chart, 3) * (3 * symbol("x2"))
+def _adapted_forms(chart: Chart, t: Expr) -> list[DifferentialForm]:
+    """w0..w4 of the marking t, written in the first five coordinates of chart."""
+    d0, d1, d2, d3, d4 = (_d(chart, i) for i in range(5))
+    return [
+        d0 + d4 * symbol("x1") - d3 * (3 * symbol("x2")),
+        d1 + d2 * (3 * t) + d3 * (3 * t ** 2) + d4 * t ** 3,
+        d2 + d3 * (2 * t) + d4 * t ** 2,
+        d3 + d4 * t,
+        d4,
+    ]
 
 
 @dataclass(frozen=True)
@@ -183,13 +192,7 @@ def adapted_coframe(t: Expr | MarkedStructure | AdaptedCoframe) -> AdaptedCofram
         t = t.t
     else:
         MarkedStructure(t)
-    w0 = _contact_form(X_CHART)
-    w1 = _d(X_CHART, 1) + _d(X_CHART, 2) * (3 * t) + _d(X_CHART, 3) * (3 * t ** 2) \
-        + _d(X_CHART, 4) * t ** 3
-    w2 = _d(X_CHART, 2) + _d(X_CHART, 3) * (2 * t) + _d(X_CHART, 4) * t ** 2
-    w3 = _d(X_CHART, 3) + _d(X_CHART, 4) * t
-    w4 = _d(X_CHART, 4)
-    cof = CoframeChart(X_CHART, [w0, w1, w2, w3, w4],
+    cof = CoframeChart(X_CHART, _adapted_forms(X_CHART, t),
                        labels=[f"w{i}" for i in range(5)])
     return AdaptedCoframe(t, cof)
 
@@ -248,21 +251,20 @@ def invariants_closed_form(t: Expr | MarkedStructure | AdaptedCoframe) -> Invari
     return acf._jet
 
 
+def J_polynomial(t, t_x: Sequence, x1, x2):
+    """(x1 + 3t x2) t_x0 + t^3 t_x1 - t^2 t_x2 + t t_x3 - t_x4, for Exprs or floats."""
+    return (x1 + 3 * t * x2) * t_x[0] + t ** 3 * t_x[1] - t ** 2 * t_x[2] \
+        + t * t_x[3] - t_x[4]
+
+
 def J_coordinate(t: Expr | MarkedStructure) -> Expr:
     """The integrability function as a coordinate polynomial in t and its partials."""
     if isinstance(t, MarkedStructure):
         t = t.t
     else:
         MarkedStructure(t)
-    x1, x2 = symbol("x1"), symbol("x2")
-    jt = symbol("t")
-    partials = [symbol(f"t_x{i}") for i in range(5)]
-    poly = (x1 + 3 * jt * x2) * partials[0] + jt ** 3 * partials[1] \
-        - jt ** 2 * partials[2] + jt * partials[3] - partials[4]
-    mapping = {"t": t}
-    for i in range(5):
-        mapping[f"t_x{i}"] = t.partial(f"x{i}")
-    return poly.substitute(mapping)
+    return J_polynomial(t, [t.partial(f"x{i}") for i in range(5)],
+                        symbol("x1"), symbol("x2"))
 
 
 def _expect(condition: bool, what: str):

@@ -16,6 +16,12 @@ numerically with Newton iteration on exact symbolic derivatives, checks the
 coordinate change between the two natural charts of the correspondence
 space, and produces integrable sections from hypersurfaces in the twistor
 chart.
+
+The solver differentiates one composed function g = F(y(x, t), t): Newton
+steps on g_t, and the marking's partials come from implicit differentiation,
+t_xi = -g_xi / g_t.  With t held fixed, (x1 + 3t x2) d0 + t^3 d1 - t^2 d2
++ t d3 - d4 annihilates every y_j, so the integrability residual at a root
+is rounding only.
 """
 
 from __future__ import annotations
@@ -23,10 +29,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .engel import J_coordinate, MarkedStructure, _d
+from .engel import J_coordinate, J_polynomial, MarkedStructure, _adapted_forms, _d
 from .forms import Chart, DifferentialForm, VectorField, pullback
 from .symexpr import Expr, ExprError, Number, VarKind, symbol
 
@@ -122,25 +127,20 @@ def verify_kerr_pair(F: KerrFunction | Expr, t: Expr | MarkedStructure) -> KerrP
         F = KerrFunction(F)
     if isinstance(t, MarkedStructure):
         t = t.t
-    ys = y_of(t)
-    mapping: dict[str, Expr] = dict(zip(_Y_NAMES, ys))
-    mapping["t"] = t
-    residual = F.F.substitute(mapping)
+    residual = F.F.substitute({**dict(zip(_Y_NAMES, y_of(t))), "t": t})
     return KerrPairReport(residual, J_coordinate(t))
 
 
 def _compose(F: Expr) -> Expr:
     """F with the base expressions substituted, as a function of x and t."""
-    ys = y_of()
-    return F.substitute(dict(zip(_Y_NAMES, ys)))
+    return F.substitute(dict(zip(_Y_NAMES, y_of())))
 
 
-def _newton(g: Expr, dg: Expr, point: dict[str, Number], guess: float,
+def _newton(g: Expr, dg: Expr, point: Mapping[str, Number], guess: float,
             tol: float) -> tuple[float, float, int]:
     tau = float(guess)
     for iteration in range(1, MAX_ITERATIONS + 1):
-        values = dict(point)
-        values["t"] = tau
+        values = {**point, "t": tau}
         try:
             val = float(g.evaluate(values))
             der = float(dg.evaluate(values))
@@ -162,65 +162,56 @@ class KerrRoot:
     iterations: int
 
 
+def _implicit(F: Expr, point: Mapping[str, Number], guess: float,
+              tol: float) -> tuple[Expr, Expr, list[Expr]]:
+    """Check the solver's inputs; return g = F(y(x, t), t), g_t and g_x0..g_x4."""
+    if not math.isfinite(tol) or tol <= 0:
+        raise ValueError(f"tolerance must be a positive finite number, not {tol}")
+    if not math.isfinite(guess):
+        raise ValueError(f"initial guess must be a finite number, not {guess}")
+    for i in range(5):
+        if f"x{i}" not in point:
+            raise ValueError(f"point must assign x{i}")
+    for var in F.occurring_vars():
+        if var.kind is VarKind.FREE and var.name not in point:
+            raise ValueError(f"point must assign the free parameter {var.name}")
+    g = _compose(F)
+    g_t = g.partial("t")
+    if g_t.is_zero:
+        raise ValueError("F composed with the base expressions is free of t; "
+                         "there is nothing to solve for")
+    return g, g_t, [g.partial(f"x{i}") for i in range(5)]
+
+
+def _root(g: Expr, g_t: Expr, g_x: Sequence[Expr], point: Mapping[str, Number],
+          guess: float, tol: float) -> KerrRoot:
+    tau, f_res, iterations = _newton(g, g_t, point, guess, tol)
+    values = {**point, "t": tau}
+    denominator = float(g_t.evaluate(values))
+    if denominator == 0.0:
+        raise KerrSolveError("implicit-function denominator vanishes at the root")
+    t_partials = [-float(gi.evaluate(values)) / denominator for gi in g_x]
+    j_res = J_polynomial(tau, t_partials, float(point["x1"]), float(point["x2"]))
+    bound = J_TOL_FACTOR * tol
+    if abs(j_res) > bound:
+        raise KerrSolveError(f"integrability residual {j_res} exceeds {bound:g}")
+    return KerrRoot(tau, f_res, j_res, iterations)
+
+
 def solve_kerr_numeric(F: KerrFunction | Expr, point: Mapping[str, Number],
                        guess: float = 0.0,
                        tol: float = F_TOL_DEFAULT) -> KerrRoot:
     """Newton-solve F = 0 for the marking value at one chart point.
 
-    Derivatives are exact symbolic expressions evaluated at points.  After
-    convergence the five implicit partial derivatives of the marking are
-    solved from the chain rule and substituted into the integrability
-    polynomial; its residual is required to be below 1000 * tol.
+    The point assigns x0..x4 and every free parameter of F.  Derivatives are
+    exact symbolic expressions evaluated at points.  After convergence the
+    five partial derivatives of the marking are solved by implicit
+    differentiation and substituted into the integrability polynomial; its
+    residual is required to be below 1000 * tol.
     """
     if isinstance(F, Expr):
         F = KerrFunction(F)
-    if not math.isfinite(tol) or tol <= 0:
-        raise ValueError(f"tolerance must be a positive finite number, not {tol}")
-    if not math.isfinite(guess):
-        raise ValueError(f"initial guess must be a finite number, not {guess}")
-    base_point = dict(point)  # x0..x4 plus values for any free parameters of F
-    for i in range(5):
-        if f"x{i}" not in base_point:
-            raise ValueError(f"point must assign x{i}")
-    for var in F.F.occurring_vars():
-        if var.kind is VarKind.FREE and var.name not in base_point:
-            raise ValueError(f"point must assign the free parameter {var.name}")
-    ys = y_of()
-    g = _compose(F.F)
-    F_t = F.F.partial("t")
-    F_y = [F.F.partial(n) for n in _Y_NAMES]
-    # dg/dt = F_t + sum_j F_yj dy_j/dt, all composed with the base expressions
-    dg_dt = F_t.substitute(dict(zip(_Y_NAMES, ys)))
-    for Fj, yj in zip(F_y, ys):
-        dg_dt = dg_dt + Fj.substitute(dict(zip(_Y_NAMES, ys))) * yj.partial("t")
-    if dg_dt.is_zero:
-        raise ValueError("F composed with the base expressions is free of t; "
-                         "there is nothing to solve for")
-
-    tau, f_res, iterations = _newton(g, dg_dt, dict(base_point), guess, tol)
-
-    values = dict(base_point)
-    values["t"] = tau
-    denominator = float(dg_dt.evaluate(values))
-    if denominator == 0.0:
-        raise KerrSolveError("implicit-function denominator vanishes at the root")
-    composed_F_y = [Fj.substitute(dict(zip(_Y_NAMES, ys))) for Fj in F_y]
-    t_partials = []
-    for i in range(5):
-        numerator = 0.0
-        for Fj, yj in zip(composed_F_y, ys):
-            numerator += float(Fj.evaluate(values)) \
-                * float(yj.partial(f"x{i}").evaluate(values))
-        t_partials.append(-numerator / denominator)
-
-    x1 = float(base_point["x1"])
-    x2 = float(base_point["x2"])
-    j_res = (x1 + 3 * tau * x2) * t_partials[0] + tau ** 3 * t_partials[1] \
-        - tau ** 2 * t_partials[2] + tau * t_partials[3] - t_partials[4]
-    if abs(j_res) > J_TOL_FACTOR * tol:
-        raise KerrSolveError(
-            f"integrability residual {j_res} exceeds {J_TOL_FACTOR * tol}")
-    return KerrRoot(tau, f_res, j_res, iterations)
+    return _root(*_implicit(F.F, point, guess, tol), point, guess, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +223,8 @@ Y6 = Chart(tuple(f"y{i}" for i in range(6)))
 
 
 def _x_chart_forms() -> list[DifferentialForm]:
-    x1, x2, x5 = symbol("x1"), symbol("x2"), symbol("x5")
-    return [
-        _d(X6, 0) + _d(X6, 4) * x1 - _d(X6, 3) * (3 * x2),
-        _d(X6, 1) + _d(X6, 2) * (3 * x5) + _d(X6, 3) * (3 * x5 ** 2)
-        + _d(X6, 4) * x5 ** 3,
-        _d(X6, 2) + _d(X6, 3) * (2 * x5) + _d(X6, 4) * x5 ** 2,
-        _d(X6, 3) + _d(X6, 4) * x5,
-        _d(X6, 4),
-        -_d(X6, 5),
-    ]
+    """The adapted coframe with the fibre coordinate x5 as marking, and -dx5."""
+    return _adapted_forms(X6, symbol("x5")) + [-_d(X6, 5)]
 
 
 def _y_chart_forms() -> list[DifferentialForm]:
@@ -259,15 +242,8 @@ def _y_chart_forms() -> list[DifferentialForm]:
 
 def coordinate_map() -> dict[str, Expr]:
     """The y-coordinates as functions on the x-chart."""
-    x0, x1, x2, x3, x4, x5 = (symbol(f"x{i}") for i in range(6))
-    return {
-        "y0": x0 + x1 * x4 + 3 * x5 * x2 * x4 - x5 ** 3 * x4 ** 2,
-        "y1": x1 + x5 ** 3 * x4,
-        "y2": x2 - x5 ** 2 * x4,
-        "y3": x3 + x5 * x4,
-        "y4": x5,
-        "y5": x4,
-    }
+    x4, x5 = symbol("x4"), symbol("x5")
+    return {**dict(zip(_Y_NAMES, y_of(x5))), "y4": x5, "y5": x4}
 
 
 def inverse_coordinate_map() -> dict[str, Expr]:
@@ -375,22 +351,15 @@ def section_from_hypersurface(H: Hypersurface | Expr, point: Mapping[str, Number
     The hypersurface lives in the twistor chart; composed with the base
     expressions (the fifth slot being the fibre coordinate) it defines the
     marking implicitly.  Transversality means a nonvanishing derivative with
-    respect to the fibre coordinate at the working point.
+    respect to the fibre coordinate at the working point.  The samples
+    perturb x0..x4 only; free parameters of H keep their values in the point.
     """
     if isinstance(H, Expr):
         H = Hypersurface(H)
-    g5 = H.H.substitute({"y4": symbol("t")})
-    F = KerrFunction(g5)
-    g = _compose(g5)
-    ys = y_of()
-    dg_dt = g5.partial("t").substitute(dict(zip(_Y_NAMES, ys)))
-    for name, yj in zip(_Y_NAMES, ys):
-        dg_dt = dg_dt + H.H.partial(name).substitute(
-            {"y4": symbol("t")}).substitute(dict(zip(_Y_NAMES, ys))) * yj.partial("t")
-    values = {f"x{i}": float(point[f"x{i}"]) for i in range(5)}
-    values["t"] = float(guess)
+    g, g_t, g_x = _implicit(H.H.substitute({"y4": symbol("t")}), point, guess, tol)
+    base = {name: float(value) for name, value in point.items()}
     try:
-        slope = float(dg_dt.evaluate(values))
+        slope = float(g_t.evaluate({**base, "t": float(guess)}))
     except Exception as exc:
         raise KerrSolveError(f"cannot evaluate transversality slope: {exc}") from exc
     if abs(slope) < 1e-12:
@@ -398,13 +367,12 @@ def section_from_hypersurface(H: Hypersurface | Expr, point: Mapping[str, Number
             "the hypersurface is tangent to the fibre direction at the point")
 
     rng = random.Random(seed)
-    base = {f"x{i}": float(point[f"x{i}"]) for i in range(5)}
     samples = []
     for n in range(n_samples + 1):
-        if n == 0:
-            p = dict(base)
-        else:
-            p = {k: v + step * rng.uniform(-1.0, 1.0) for k, v in base.items()}
-        root = solve_kerr_numeric(F, p, guess=guess, tol=tol)
+        p = dict(base)
+        if n > 0:
+            for i in range(5):
+                p[f"x{i}"] += step * rng.uniform(-1.0, 1.0)
+        root = _root(g, g_t, g_x, p, guess, tol)
         samples.append(SectionSample(p, root.t_value, root.f_residual, root.j_residual))
     return SectionReport(samples)

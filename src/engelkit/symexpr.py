@@ -9,9 +9,9 @@ be shared freely between threads.
 Variables carry a *kind* that controls differentiation:
 
 * coordinates ``x0..x5``, ``y0..y5`` -- ordinary chart coordinates,
-* jet symbols ``t``, ``t_x0..t_x4``, ``t_x0x0..t_x4x4`` -- unknown-function
-  symbols; differentiating ``t`` by ``xi`` yields ``t_xi`` and so on, capped
-  at second order,
+* jet symbols ``t`` and ``t_`` followed by a run of ``x0..x4`` (``t_x1``,
+  ``t_x1x3``, ``t_x0x0x4``, ...) -- unknown-function symbols of any order,
+  named with the run sorted; differentiating a jet by ``xi`` appends ``xi``,
 * group parameters ``s0..s8``, ``delta`` -- fibre coordinates of the
   structure bundle,
 * free parameters -- any other identifier; transcendental constants with
@@ -119,7 +119,6 @@ __all__ = [
     "DivisionByZeroError",
     "PoleError",
     "UnassignedVariableError",
-    "JetOrderError",
     "VariableKindError",
     "symbol",
     "integer",
@@ -158,10 +157,6 @@ class UnassignedVariableError(ExprError):
     pass
 
 
-class JetOrderError(ExprError):
-    pass
-
-
 class VariableKindError(ExprError):
     pass
 
@@ -175,33 +170,28 @@ class VarKind(enum.Enum):
 
 _COORDINATES = {f"x{i}" for i in range(6)} | {f"y{i}" for i in range(6)}
 _GROUP = {f"s{i}" for i in range(9)} | {"delta"}
-_JET1_RE = re.compile(r"^t_x([0-4])$")
-_JET2_RE = re.compile(r"^t_x([0-4])x([0-4])$")
+_JET_RE = re.compile(r"^t(?:_((?:x[0-4])+))?$")
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+
+
+def _jet_indices(name: str) -> list[int] | None:
+    """The sorted coordinate indices of a jet symbol name, None for other names."""
+    m = _JET_RE.match(name)
+    if m is None:
+        return None
+    return sorted(int(i) for i in (m.group(1) or "")[1::2])
 
 
 def jet_order(name: str) -> int | None:
     """Jet order of a jet symbol name, or None for non-jet names."""
-    if name == "t":
-        return 0
-    if _JET1_RE.match(name):
-        return 1
-    if _JET2_RE.match(name):
-        return 2
-    return None
+    indices = _jet_indices(name)
+    return None if indices is None else len(indices)
 
 
 def canonical_jet_name(indices: Iterable[int]) -> str:
+    """``t`` or ``t_`` followed by the sorted run ``x<i>`` of the indices."""
     idx = sorted(indices)
-    if not all(0 <= i <= 4 for i in idx):
-        raise JetOrderError(f"jet indices out of range: {idx}")
-    if len(idx) == 0:
-        return "t"
-    if len(idx) == 1:
-        return f"t_x{idx[0]}"
-    if len(idx) == 2:
-        return f"t_x{idx[0]}x{idx[1]}"
-    raise JetOrderError("jet symbols beyond second order are not supported")
+    return "t_" + "".join(f"x{i}" for i in idx) if idx else "t"
 
 
 def default_kind(name: str) -> VarKind:
@@ -221,10 +211,8 @@ class Var:
 
 
 def _canonicalize_name(name: str) -> str:
-    m = _JET2_RE.match(name)
-    if m:
-        return canonical_jet_name([int(m.group(1)), int(m.group(2))])
-    return name
+    indices = _jet_indices(name)
+    return name if indices is None else canonical_jet_name(indices)
 
 
 def make_var(name: str, kind: VarKind | None = None) -> Var:
@@ -853,10 +841,8 @@ class Expr:
     def diff(self, name: str) -> "Expr":
         """Total derivative by a coordinate, with the jet chain rule.
 
-        Differentiating ``t`` by ``xi`` yields ``t_xi`` and differentiating
-        ``t_xj`` yields ``t_xixj``; expressions already containing
-        second-order jets are rejected, since the result would need third
-        order.
+        Differentiating a jet ``t_<run>`` by ``xi`` appends ``xi`` to its run
+        (``t`` gives ``t_xi``, ``t_xj`` gives ``t_xixj``), in any order.
         """
         var = make_var(name)
         if var.kind is not VarKind.COORDINATE:
@@ -867,18 +853,10 @@ class Expr:
             return result  # jets depend on x0..x4 only
         xi = int(m.group(1))
         for jet in self.occurring_vars():
-            order = jet_order(jet.name)
-            if order is None:
+            indices = _jet_indices(jet.name)
+            if indices is None:
                 continue
-            if order >= 2:
-                raise JetOrderError(
-                    f"differentiating {jet.name} would create a jet of order 3"
-                )
-            if order == 0:
-                chain = canonical_jet_name([xi])
-            else:
-                j = int(_JET1_RE.match(jet.name).group(1))
-                chain = canonical_jet_name([j, xi])
+            chain = canonical_jet_name(indices + [xi])
             result = result + self.partial(jet.name) * Expr.symbol(chain)
         return result
 

@@ -230,6 +230,13 @@ class TestKerrCommands:
         assert lines[0].startswith("x0,x1,x2,x3,x4,t")
         assert len(lines) == report.results["samples"] + 1
 
+    @pytest.mark.parametrize("H, value", [("y4 - c", 3.0), ("c*y4 - 3", 1.0)])
+    def test_section_keeps_free_parameters(self, H, value):
+        code, report = run(["kerr", "section", "--H", H, "--guess", "2",
+                            "--at", "x0=0,x1=1,x2=1,x3=1,x4=1,c=3"])
+        assert code == 0 and report.status == "ok"
+        assert report.results["values"] == [value] * 11
+
 
 class TestVerificationCommands:
     def test_g2(self):
@@ -556,6 +563,38 @@ class TestInjectedFaults:
         monkeypatch.setattr(kerr, "y_of", bent)
         report = self.assert_failed(command + ["--at", "x0=1,x1=3,x2=1,x3=1,x4=1"])
         assert report.results["error"].startswith("integrability residual ")
+        assert report.results["error"].endswith(" exceeds 1e-07")
+
+    def test_fibration_base_expression(self, monkeypatch):
+        # coordinate_map reads y0..y3 from y_of; the y-chart forms do not
+        from engelkit import kerr
+        from engelkit.symexpr import symbol
+
+        y_of = kerr.y_of
+
+        def bent(t=None):
+            y0, y1, y2, y3 = y_of(t)
+            return y0, y1, y2, y3 + (symbol("t") if t is None else t) * symbol("x4")
+
+        monkeypatch.setattr(kerr, "y_of", bent)
+        report = self.assert_failed(["fibration", "check"])
+        assert report.results["forms_match"] != [True] * 6
+        assert report.results["round_trip_identity"] is False
+
+    def test_fibration_adapted_forms(self, monkeypatch):
+        # the x-chart forms come from the builder of every adapted coframe
+        from engelkit import kerr
+
+        forms = kerr._adapted_forms
+
+        def bent(chart, t):
+            w = forms(chart, t)
+            w[2] = w[2] * 2
+            return w
+
+        monkeypatch.setattr(kerr, "_adapted_forms", bent)
+        report = self.assert_failed(["fibration", "check"])
+        assert report.results["forms_match"] == [True, True, False, True, True, True]
 
     def test_tanaka_gl2_truncated_depths_pass(self):
         for depth in range(6):

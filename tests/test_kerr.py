@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from engelkit import kerr
 from engelkit.engel import adapted_coframe, invariants_closed_form
 from engelkit.kerr import (
     Hypersurface,
@@ -45,6 +46,30 @@ class TestBaseExpressions:
         y = y_of()
         t, x2, x4 = symbol("t"), symbol("x2"), symbol("x4")
         assert y[2] == x2 - t ** 2 * x4
+
+
+class TestIntegrabilityIdentity:
+    """D = (x1 + 3t x2) d0 + t^3 d1 - t^2 d2 + t d3 - d4, with t held fixed,
+    annihilates every base expression, so D(F o y) = 0 for every F."""
+
+    @staticmethod
+    def D(e):
+        t, x1, x2 = symbol("t"), symbol("x1"), symbol("x2")
+        coefficients = [x1 + 3 * t * x2, t ** 3, -t ** 2, t, integer(-1)]
+        return sum((c * e.partial(f"x{i}") for i, c in enumerate(coefficients)),
+                   integer(0))
+
+    def test_base_expressions_are_annihilated(self):
+        assert [self.D(y) for y in y_of()] == [integer(0)] * 4
+
+    def test_composed_function_is_annihilated(self):
+        g = kerr._compose(parse("t*y2 - (s*y3 - y1)/(y0 + t^2)"))
+        assert self.D(g) == integer(0)
+
+    def test_bent_base_expression_breaks_the_identity(self):
+        y0, y1, y2, y3 = y_of()
+        bent = y3 + symbol("t") * symbol("x4")
+        assert self.D(bent) == -symbol("t")
 
 
 class TestVerifyPair:
@@ -170,6 +195,14 @@ class TestSections:
             closed = (s.point["x1"] - 2 * s.point["x3"]) / \
                 (-s.point["x2"] + 2 * s.point["x4"])
             assert abs(s.t_value - closed) < 1e-9
+
+    def test_free_parameter_is_carried_to_every_sample(self):
+        rep = section_from_hypersurface(parse("c*y4 - 3"),
+                                        {"x0": 0, "x1": 1, "x2": 1, "x3": 1, "x4": 1,
+                                         "c": 3}, guess=2.0)
+        assert [s.t_value for s in rep.samples] == [1.0] * 11
+        assert all(s.point["c"] == 3.0 for s in rep.samples)
+        assert len({s.point["x0"] for s in rep.samples}) == 11
 
     def test_transversality_failure(self):
         with pytest.raises(TransversalityError):

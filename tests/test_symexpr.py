@@ -15,7 +15,6 @@ from engelkit import cli, engel, symexpr
 from engelkit.symexpr import (
     DivisionByZeroError,
     Expr,
-    JetOrderError,
     PoleError,
     SyntaxExprError,
     UnassignedVariableError,
@@ -185,10 +184,21 @@ class TestDiff:
         assert e == sym("t_x1x3")
         assert diff(diff(sym("t"), "x1"), "x3") == e
 
-    def test_third_order_is_rejected(self):
-        e = diff(diff(sym("t"), "x1"), "x2")
-        with pytest.raises(JetOrderError):
-            diff(e, "x0")
+    def test_third_order_jets_are_symmetric(self):
+        orders = [("x2", "x0", "x2"), ("x0", "x2", "x2"), ("x2", "x2", "x0")]
+        results = []
+        for order in orders:
+            e = sym("t") ** 2
+            for name in order:
+                e = diff(e, name)
+            results.append(e)
+        assert results[0] == results[1] == results[2]
+        t = sym("t")
+        assert results[0] == 4 * sym("t_x0x2") * sym("t_x2") \
+            + 2 * sym("t_x0") * sym("t_x2x2") + 2 * t * sym("t_x0x2x2")
+        assert make_var("t_x2x0x2").kind is VarKind.JET
+        assert sym("t_x2x0x2") == sym("t_x0x2x2")
+        assert diff(sym("t_x2x0"), "x2") == sym("t_x0x2x2")
 
     def test_mixed_partials_commute_without_jets(self):
         rng = random.Random(5)

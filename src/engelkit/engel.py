@@ -251,10 +251,15 @@ def invariants_closed_form(t: Expr | MarkedStructure | AdaptedCoframe) -> Invari
     return acf._jet
 
 
+def _j_coefficients(t, x1, x2) -> tuple:
+    """The coefficients of t_x0..t_x4 in J, for Exprs or floats."""
+    return (x1 + 3 * t * x2, t ** 3, -t ** 2, t, -1)
+
+
 def J_polynomial(t, t_x: Sequence, x1, x2):
     """(x1 + 3t x2) t_x0 + t^3 t_x1 - t^2 t_x2 + t t_x3 - t_x4, for Exprs or floats."""
-    return (x1 + 3 * t * x2) * t_x[0] + t ** 3 * t_x[1] - t ** 2 * t_x[2] \
-        + t * t_x[3] - t_x[4]
+    c = _j_coefficients(t, x1, x2)
+    return c[0] * t_x[0] + c[1] * t_x[1] + c[2] * t_x[2] + c[3] * t_x[3] + c[4] * t_x[4]
 
 
 def J_coordinate(t: Expr | MarkedStructure) -> Expr:

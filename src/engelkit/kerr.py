@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .engel import J_coordinate, J_polynomial, MarkedStructure, _adapted_forms, _d
+from .engel import J_coordinate, J_polynomial, MarkedStructure, _adapted_forms, _d, _j_coefficients
 from .forms import Chart, DifferentialForm, VectorField, pullback
 from .symexpr import Expr, ExprError, Number, VarKind, symbol
 
@@ -176,11 +176,7 @@ def _implicit(F: Expr, point: Mapping[str, Number], guess: float,
         if var.kind is VarKind.FREE and var.name not in point:
             raise ValueError(f"point must assign the free parameter {var.name}")
     g = _compose(F)
-    g_t = g.partial("t")
-    if g_t.is_zero:
-        raise ValueError("F composed with the base expressions is free of t; "
-                         "there is nothing to solve for")
-    return g, g_t, [g.partial(f"x{i}") for i in range(5)]
+    return g, g.partial("t"), [g.partial(f"x{i}") for i in range(5)]
 
 
 def _root(g: Expr, g_t: Expr, g_x: Sequence[Expr], point: Mapping[str, Number],
@@ -211,7 +207,11 @@ def solve_kerr_numeric(F: KerrFunction | Expr, point: Mapping[str, Number],
     """
     if isinstance(F, Expr):
         F = KerrFunction(F)
-    return _root(*_implicit(F.F, point, guess, tol), point, guess, tol)
+    g, g_t, g_x = _implicit(F.F, point, guess, tol)
+    if g_t.is_zero:
+        raise ValueError("F composed with the base expressions is free of t; "
+                         "there is nothing to solve for")
+    return _root(g, g_t, g_x, point, guess, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +286,8 @@ def coordinate_change_check() -> FibrationReport:
 
     # the vertical field of the first projection, written in the x-chart,
     # pushes to the fifth y-coordinate direction
-    x1, x2, x5 = symbol("x1"), symbol("x2"), symbol("x5")
-    xi4 = VectorField(X6, [-(x1 + 3 * x5 * x2), -x5 ** 3, x5 ** 2, -x5,
-                           Expr.from_int(1), Expr.from_int(0)])
+    xi4 = VectorField(X6, [-c for c in _j_coefficients(
+        symbol("x5"), symbol("x1"), symbol("x2"))] + [0])
     push4 = [xi4.apply(mapping[f"y{k}"]) for k in range(6)]
     ok4 = all(push4[k].is_zero for k in range(5)) and push4[5] == Expr.from_int(1)
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from engelkit import kerr
-from engelkit.engel import adapted_coframe, invariants_closed_form
+from engelkit.engel import _j_coefficients, adapted_coframe, invariants_closed_form
 from engelkit.kerr import (
     Hypersurface,
     KerrFunction,
@@ -54,8 +54,7 @@ class TestIntegrabilityIdentity:
 
     @staticmethod
     def D(e):
-        t, x1, x2 = symbol("t"), symbol("x1"), symbol("x2")
-        coefficients = [x1 + 3 * t * x2, t ** 3, -t ** 2, t, integer(-1)]
+        coefficients = _j_coefficients(symbol("t"), symbol("x1"), symbol("x2"))
         return sum((c * e.partial(f"x{i}") for i, c in enumerate(coefficients)),
                    integer(0))
 

@@ -237,6 +237,12 @@ class TestKerrCommands:
         assert code == 0 and report.status == "ok"
         assert report.results["values"] == [value] * 11
 
+    def test_section_point_missing_a_coordinate(self):
+        code, report = run(["kerr", "section", "--H", "y2*y4 - (2*y3 - y1)",
+                            "--at", "x0=1,x1=3,x2=1,x3=1"])
+        assert code == 2 and report.status == "input-error"
+        assert report.results["error"] == "point must assign x4"
+
 
 class TestVerificationCommands:
     def test_g2(self):

@@ -16,8 +16,9 @@ and extraction from the structure equations -- which the test-suite compares
 field by field.
 
 One :class:`AdaptedCoframe` is the whole per-marking analysis: it holds the
-coframe, its dual frame (built once) and the closed-form jet, the ten
-structure functions (computed on first use).  A reader that needs a frame
+coframe, its dual frame (built once), the first frame derivatives of t with
+J = -X4(t), and the closed-form jet, the ten structure functions (each
+computed on first use).  A reader that needs a frame
 derivative of one of them takes it from the coframe itself: the bundle
 torsions read those of J, the flat reduction xi1(a).  Every entry point
 accepts a marking as an expression, a :class:`MarkedStructure` or an
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping, Sequence
 
 from . import jets, linalg
@@ -133,15 +134,27 @@ class AdaptedCoframe:
     """The five adapted 1-forms, their exact dual frame and the closed-form jet
     of the ten structure functions.
 
-    The frame, and its Taylor jets at the seeded point of F_P, are built at
-    most once per object; the jet is memoised on it by
-    :func:`invariants_closed_form`.  All die with the object.
+    The frame, its Taylor jets at the seeded point of F_P and the first frame
+    derivatives of t (with J = -X4(t)) are built at most once per object;
+    the jet is memoised on it by :func:`invariants_closed_form`.  All die
+    with the object.
     """
 
     t: Expr
     coframe: CoframeChart
     _jet: InvariantJet | None = field(default=None, init=False, repr=False,
                                       compare=False)
+
+    @classmethod
+    def generic(cls) -> AdaptedCoframe:
+        """The coframe of the generic marking, the jet symbol ``t`` itself.
+
+        Its frame derivatives are polynomials in x, t and the jet symbols
+        t_xi.  This is the only coframe whose marking is a jet symbol;
+        :class:`MarkedStructure` rejects them.
+        """
+        t = symbol("t")
+        return cls(t, CoframeChart(X_CHART, _adapted_forms(X_CHART, t)))
 
     @property
     def omega(self) -> list[DifferentialForm]:
@@ -150,6 +163,17 @@ class AdaptedCoframe:
     @cached_property
     def frame(self) -> list[VectorField]:
         return self.coframe.dual_frame()
+
+    @cached_property
+    def t_frame(self) -> list[Expr]:
+        """The first frame derivatives X0(t)..X4(t) of the marking."""
+        return _frame_derivatives(self.coframe, self.t)
+
+    @cached_property
+    def J(self) -> Expr:
+        """The first invariant J = -X4(t); it vanishes exactly when the
+        tangent plane is integrable."""
+        return -self.t_frame[4]
 
     @cached_property
     def frame_jets(self) -> tuple[list[VectorField], DifferentialForm] | None:
@@ -192,9 +216,7 @@ def adapted_coframe(t: Expr | MarkedStructure | AdaptedCoframe) -> AdaptedCofram
         t = t.t
     else:
         MarkedStructure(t)
-    cof = CoframeChart(X_CHART, _adapted_forms(X_CHART, t),
-                       labels=[f"w{i}" for i in range(5)])
-    return AdaptedCoframe(t, cof)
+    return AdaptedCoframe(t, CoframeChart(X_CHART, _adapted_forms(X_CHART, t)))
 
 
 def _frame_derivatives(cof: CoframeChart, f: Expr) -> list[Expr]:
@@ -232,15 +254,14 @@ def invariants_closed_form(t: Expr | MarkedStructure | AdaptedCoframe) -> Invari
     acf = adapted_coframe(t)
     if acf._jet is not None:
         return acf._jet
-    t = acf.t
     cof = acf.coframe
-    tw = _frame_derivatives(cof, t)
+    tw = acf.t_frame
     tww = [_frame_derivatives(cof, tw_i) for tw_i in tw]
 
     a = tw[3]
     b = -tw[2]
     c = tw[1]
-    J = -tw[4]
+    J = acf.J
     L = tww[3][3]
     M = 6 * tw[0] - 2 * tw[2] ** 2 + 6 * tw[3] * tw[1] + tww[2][3]
     P = 2 * tw[0] - tw[2] ** 2 + 2 * tw[3] * tw[1] + tww[2][3]
@@ -494,7 +515,12 @@ def _derived(osculating: Sequence[VectorField]) -> list[VectorField]:
 
 @dataclass
 class GeometryReport:
-    """Cross-checked geometric characterizations of the invariant branches."""
+    """Cross-checked geometric characterizations of the invariant branches.
+
+    ``volume_identity_holds`` and ``weyl_identity_holds`` are the generic
+    theorem of :func:`_generic_identities`, proved once per process on the
+    generic marking; every other field is decided on the marking itself.
+    """
 
     j_is_zero: bool
     tangent_plane_integrable: bool
@@ -533,6 +559,11 @@ class GeometryReport:
 def geometric_checks(t: Expr | MarkedStructure | AdaptedCoframe) -> GeometryReport:
     """Run the geometric battery attached to the osculating filtration.
 
+    The branch is decided by J = -X4(t), which needs only the first frame
+    derivatives of t.  A marking with J != 0 builds no second frame
+    derivatives: the ten-function jet is built only when J = 0, whose checks
+    read L, M and P.
+
     The growth, the derived rank and the line type are ranked at the seeded
     point of F_P first, on the frame's jets, when J is not zero: then every
     one of them is full, and the point proves it without symbolic brackets.
@@ -540,13 +571,17 @@ def geometric_checks(t: Expr | MarkedStructure | AdaptedCoframe) -> GeometryRepo
     jets leave open is taken of the symbolic rows, which
     :func:`~engelkit.forms.certified_rank` ranks at the same point before it
     eliminates.
+
+    The volume identity dw2 ^ w0 ^ w1 ^ w2 = 2 J vol and the connection
+    identity nabla_xi4 xi4 = J xi3 are not recomputed per marking: they are
+    read from :func:`_generic_identities`, which proves them once per process
+    on the generic marking, and that proof covers every marking.
     """
     acf = adapted_coframe(t)
-    inv = invariants_closed_form(acf)
     frame = acf.frame
     xi2, xi3, xi4 = frame[2], frame[3], frame[4]
 
-    j_zero = inv.J.is_zero
+    j_zero = acf.J.is_zero
     growth = derived_rank = line_type = None
     point = None if j_zero else acf.frame_jets
     if point is not None:
@@ -565,13 +600,7 @@ def geometric_checks(t: Expr | MarkedStructure | AdaptedCoframe) -> GeometryRepo
     # the plane is integrable exactly when its bracket adds nothing
     tangent_integrable = growth[1] == growth[0]
 
-    # dw2 ^ w0 ^ w1 ^ w2 = 2 J vol
-    w = acf.omega
-    lhs = w[2].d().wedge(w[0]).wedge(w[1]).wedge(w[2])
-    volume_ok = lhs == acf.volume() * (2 * inv.J)
-
-    weyl_ok = _weyl_identity_holds(acf, inv)
-
+    volume_ok, weyl_ok = _generic_identities()
     report = GeometryReport(
         j_is_zero=j_zero,
         tangent_plane_integrable=tangent_integrable,
@@ -583,6 +612,7 @@ def geometric_checks(t: Expr | MarkedStructure | AdaptedCoframe) -> GeometryRepo
     )
 
     if j_zero:
+        inv = invariants_closed_form(acf)
         report.l_is_zero = inv.L.is_zero
         # a row's sign does not change a rank, so [xi2, xi3] serves for [xi3, xi2]
         b23, b24, b34 = derived[3:]
@@ -601,15 +631,50 @@ def geometric_checks(t: Expr | MarkedStructure | AdaptedCoframe) -> GeometryRepo
     return report
 
 
-def _weyl_identity_holds(acf: AdaptedCoframe, inv: InvariantJet) -> bool:
-    """The parallel transport of the marked line direction bends by J.
+@cache
+def _generic_identities() -> tuple[bool, bool]:
+    """The volume and the connection identity, proved on the generic marking.
 
-    The connection makes the flat frame parallel in horizontal directions;
-    differentiating xi4 = -t^3 X1 + t^2 X2 - t X3 + X4 along itself must give
-    J xi3.
+    Both are identities of the adapted coframe of the jet symbol ``t``
+    (:meth:`AdaptedCoframe.generic`), whose entries lie in Q[x, t].  Its
+    determinant is 1, so its dual frame is polynomial; J = -X4(t) is a
+    polynomial in x, t and the first jet symbols t_xi, and neither identity
+    divides by anything.  Both sides of each identity are therefore
+    polynomials in x, t and t_xi.  Putting a marking's partial derivatives
+    in place of the jet symbols is a ring homomorphism from that polynomial
+    ring into Q(x, parameters) that commutes with d (the total derivative is
+    the chain rule), so an identity that holds at the generic marking holds
+    for every marking, free parameters included.  Only first-order jets
+    enter: the proof needs J, not the ten-function jet.
+
+    Computed once per process; the result is (volume, connection).
+    """
+    acf = AdaptedCoframe.generic()
+    volume, volume_rhs = _volume_sides(acf, acf.J)
+    return volume == volume_rhs, _weyl_identity_holds(acf, acf.J)
+
+
+def _volume_sides(acf: AdaptedCoframe,
+                  J: Expr) -> tuple[DifferentialForm, DifferentialForm]:
+    """dw2 ^ w0 ^ w1 ^ w2 and 2 J vol, which the volume identity equates."""
+    w = acf.omega
+    return w[2].d().wedge(w[0]).wedge(w[1]).wedge(w[2]), acf.volume() * (2 * J)
+
+
+def _line_in_flat_frame(t: Expr) -> list[Expr]:
+    """The coefficients of xi4 = -t^3 X1 + t^2 X2 - t X3 + X4 in the flat frame."""
+    return [integer(0), -t ** 3, t ** 2, -t, integer(1)]
+
+
+def _weyl_sides(acf: AdaptedCoframe,
+                J: Expr) -> list[tuple[VectorField, VectorField]]:
+    """The pairs that the connection identity equates.
+
+    The flat-frame recombination of xi4 against xi4, then the derivative of
+    xi4 along itself (the connection makes the flat frame parallel in
+    horizontal directions) against J xi3.
     """
     chart = acf.coframe.chart
-    t = acf.t
     x1, x2 = symbol("x1"), symbol("x2")
     flat_frame = [
         VectorField.coordinate(chart, 0),
@@ -618,17 +683,19 @@ def _weyl_identity_holds(acf: AdaptedCoframe, inv: InvariantJet) -> bool:
         VectorField(chart, [3 * x2, 0, 0, 1, 0]),
         VectorField(chart, [-x1, 0, 0, 0, 1]),
     ]
-    coeffs = [integer(0), -t ** 3, t ** 2, -t, integer(1)]
+    coeffs = _line_in_flat_frame(acf.t)
     xi4 = acf.frame[4]
     recombined = VectorField(chart, [integer(0)] * 5)
-    for coeff, X in zip(coeffs, flat_frame):
-        recombined = recombined + X * coeff
-    if not (recombined - xi4).is_zero:
-        return False
     nabla = VectorField(chart, [integer(0)] * 5)
     for coeff, X in zip(coeffs, flat_frame):
+        recombined = recombined + X * coeff
         nabla = nabla + X * xi4.apply(coeff)
-    return (nabla - acf.frame[3] * inv.J).is_zero
+    return [(recombined, xi4), (nabla, acf.frame[3] * J)]
+
+
+def _weyl_identity_holds(acf: AdaptedCoframe, J: Expr) -> bool:
+    """The parallel transport of the marked line direction bends by J."""
+    return all((lhs - rhs).is_zero for lhs, rhs in _weyl_sides(acf, J))
 
 
 def _null_plane_checks(acf: AdaptedCoframe, inv: InvariantJet):

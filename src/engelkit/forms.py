@@ -435,18 +435,6 @@ class CoframeChart:
                     out[(i, j)] = value
         return out
 
-    def reconstruct_one_form(self, coeffs: Sequence[Expr]) -> DifferentialForm:
-        result = DifferentialForm.zero(self.chart, 1)
-        for c, f in zip(coeffs, self.forms):
-            result = result + f * c
-        return result
-
-    def reconstruct_two_form(self, coeffs: Mapping[tuple[int, int], Expr]) -> DifferentialForm:
-        result = DifferentialForm.zero(self.chart, 2)
-        for (i, j), c in coeffs.items():
-            result = result + self.forms[i].wedge(self.forms[j]) * c
-        return result
-
 
 def certified_rank(rows: Sequence[Sequence[Expr | Jet]]) -> int | None:
     """Rank of a matrix of expressions over the rational-function field.

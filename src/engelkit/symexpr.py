@@ -792,13 +792,6 @@ class Expr:
                 [(mon, int(c)) for mon, c in numer.items()],
                 [(mon, int(c)) for mon, c in denom.items()])
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant:
-            raise ExprError("expression is not a rational constant")
-        num = self._elem.numer.coeff(1)
-        den = self._elem.denom.coeff(1)
-        return Fraction(int(num), int(den))
-
     def _trim(self) -> "Expr":
         """Restrict to the occurring variables (canonical representative)."""
         occ = self.occurring_vars()

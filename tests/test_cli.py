@@ -431,17 +431,50 @@ class TestInjectedFaults:
         ("(x1 - 2*x3)/(-x2 + 2*x4)", 1, [2, 2, 2]),  # J = 0 read as 1: the point fails
     ])
     def test_geometry_closed_form_j(self, monkeypatch, t, wrong_j, growth):
-        from dataclasses import replace
-
         from engelkit import engel
         from engelkit.symexpr import integer
 
-        closed_form = engel.invariants_closed_form
-        monkeypatch.setattr(engel, "invariants_closed_form",
-                            lambda acf: replace(closed_form(acf), J=integer(wrong_j)))
+        # J = -X4(t) is computed in one place, which both the branch and the
+        # closed-form jet read; the generic proof is taken before J is bent,
+        # so the inconsistency must come from the marking's own checks
+        engel._generic_identities()
+        monkeypatch.setattr(engel.AdaptedCoframe, "J",
+                            property(lambda acf: integer(wrong_j)))
         report = self.assert_failed(["geometry", "--t", t])
         assert report.results["first_invariant_vanishes"] is (wrong_j == 0)
         assert report.results["growth"] == growth
+        assert report.results["consistent"] is False
+
+    @pytest.fixture
+    def fresh_generic_proof(self):
+        from engelkit import engel
+
+        engel._generic_identities.cache_clear()
+        yield
+        engel._generic_identities.cache_clear()
+
+    def test_generic_connection_identity(self, monkeypatch, fresh_generic_proof):
+        from engelkit import engel
+        from engelkit.symexpr import integer
+
+        # xi4 = -t^3 X1 + t^2 X2 - 2t X3 + X4: the recombination misses xi4
+        monkeypatch.setattr(engel, "_line_in_flat_frame",
+                            lambda t: [integer(0), -t ** 3, t ** 2, -2 * t, integer(1)])
+        report = self.assert_failed(["geometry", "--t", "x3"])
+        assert report.results["connection_identity"] is False
+        assert report.results["volume_identity"] is True
+        assert report.results["consistent"] is False
+
+    def test_generic_volume_identity(self, monkeypatch, fresh_generic_proof):
+        from engelkit import engel
+
+        # the right-hand side becomes 3 J vol
+        volume = engel.AdaptedCoframe.volume
+        monkeypatch.setattr(engel.AdaptedCoframe, "volume",
+                            lambda acf: volume(acf) * Fraction(3, 2))
+        report = self.assert_failed(["geometry", "--t", "x3"])
+        assert report.results["volume_identity"] is False
+        assert report.results["connection_identity"] is True
         assert report.results["consistent"] is False
 
     @pytest.mark.parametrize("command", ["cohomology", "normalization"])

@@ -37,6 +37,11 @@ _QUADRICS = [
 ]
 
 
+def as_fraction(e) -> Fraction:
+    """The rational constant e; a variable left in it raises."""
+    return e.evaluate({})
+
+
 def _monomial_rows(value, degree, unknowns):
     rows = []
     for deg_s in range(degree + 1):
@@ -45,7 +50,7 @@ def _monomial_rows(value, degree, unknowns):
             coeff = coeff.partial("s")
         for _ in range(degree - deg_s):
             coeff = coeff.partial("u")
-        rows.append([coeff.partial(name).as_fraction() for name in unknowns])
+        rows.append([as_fraction(coeff.partial(name)) for name in unknowns])
     return rows
 
 
@@ -53,7 +58,7 @@ def expr_rho_prime(m):
     eps = symbol("eps")
     perturbed = [[integer(1) + eps * Fraction(m[0][0]), eps * Fraction(m[0][1])],
                  [eps * Fraction(m[1][0]), integer(1) + eps * Fraction(m[1][1])]]
-    return [[entry.partial("eps").substitute({"eps": 0}).as_fraction() for entry in row]
+    return [[as_fraction(entry.partial("eps").substitute({"eps": 0})) for entry in row]
             for row in irrep_rho(perturbed)]
 
 

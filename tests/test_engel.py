@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engelkit import engel
 from engelkit.engel import (
+    AdaptedCoframe,
     BranchNotConstantError,
     InvariantJet,
     MarkedStructure,
@@ -27,7 +29,7 @@ from engelkit.engel import (
 )
 from engelkit.forms import VectorField, generic_rank
 from engelkit.linalg import det
-from engelkit.symexpr import Expr, integer, parse, symbol
+from engelkit.symexpr import Expr, VarKind, integer, jet_order, parse, symbol
 
 
 def random_quadratic(rng: random.Random) -> Expr:
@@ -310,13 +312,61 @@ class TestGeometricChecks:
             assert rep.all_consistent()
 
     def test_volume_identity_is_exact(self):
-        rep = geometric_checks(parse("x0*x1 - x2*x4"))
+        t = parse("x0*x1 - x2*x4")
+        rep = geometric_checks(t)
         assert rep.volume_identity_holds
+        # the generic theorem, specialised: it holds on the marking's own forms
+        acf = adapted_coframe(t)
+        lhs, rhs = engel._volume_sides(acf, acf.J)
+        assert lhs == rhs and not lhs.is_zero
 
     def test_weyl_identity(self):
         rng = random.Random(988)
-        rep = geometric_checks(random_quadratic(rng))
+        t = random_quadratic(rng)
+        rep = geometric_checks(t)
         assert rep.weyl_identity_holds
+        acf = adapted_coframe(t)
+        assert engel._weyl_identity_holds(acf, acf.J)
+        assert not engel._weyl_identity_holds(acf, acf.J + 1)
+
+
+class TestGenericProof:
+    """The hypotheses under which the generic proof covers every marking."""
+
+    @staticmethod
+    def jet_free(e: Expr) -> bool:
+        return all(v.kind is not VarKind.JET for v in e.occurring_vars())
+
+    def test_the_proof_holds(self):
+        assert engel._generic_identities() == (True, True)
+
+    def test_generic_marking_is_the_jet_symbol(self):
+        acf = AdaptedCoframe.generic()
+        assert acf.t == symbol("t") and acf.t.occurring_vars()[0].kind is VarKind.JET
+        assert acf.J == -acf.t_frame[4]
+
+    def test_determinant_is_one(self):
+        assert AdaptedCoframe.generic().coframe.det == 1
+
+    def test_no_denominator_holds_a_jet_symbol(self):
+        acf = AdaptedCoframe.generic()
+        J = acf.J
+        exprs = [c for X in acf.frame for c in X.comps] + [J]
+        lhs, rhs = engel._volume_sides(acf, J)
+        exprs += list(lhs.comps.values()) + list(rhs.comps.values())
+        for left, right in engel._weyl_sides(acf, J):
+            exprs += list(left.comps) + list(right.comps)
+        assert all(self.jet_free(e.denominator()) for e in exprs)
+        # only first-order jets enter, and J holds them
+        assert {jet_order(v.name) for e in exprs for v in e.occurring_vars()
+                if v.kind is VarKind.JET} == {0, 1}
+        assert not self.jet_free(J)
+
+    def test_markings_still_reject_jet_symbols(self):
+        with pytest.raises(ValueError):
+            MarkedStructure(symbol("t"))
+        with pytest.raises(ValueError):
+            adapted_coframe(symbol("t"))
 
 
 class TestTautologicalForms:

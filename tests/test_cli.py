@@ -445,38 +445,6 @@ class TestInjectedFaults:
         assert report.results["growth"] == growth
         assert report.results["consistent"] is False
 
-    @pytest.fixture
-    def fresh_generic_proof(self):
-        from engelkit import engel
-
-        engel._generic_identities.cache_clear()
-        yield
-        engel._generic_identities.cache_clear()
-
-    def test_generic_connection_identity(self, monkeypatch, fresh_generic_proof):
-        from engelkit import engel
-        from engelkit.symexpr import integer
-
-        # xi4 = -t^3 X1 + t^2 X2 - 2t X3 + X4: the recombination misses xi4
-        monkeypatch.setattr(engel, "_line_in_flat_frame",
-                            lambda t: [integer(0), -t ** 3, t ** 2, -2 * t, integer(1)])
-        report = self.assert_failed(["geometry", "--t", "x3"])
-        assert report.results["connection_identity"] is False
-        assert report.results["volume_identity"] is True
-        assert report.results["consistent"] is False
-
-    def test_generic_volume_identity(self, monkeypatch, fresh_generic_proof):
-        from engelkit import engel
-
-        # the right-hand side becomes 3 J vol
-        volume = engel.AdaptedCoframe.volume
-        monkeypatch.setattr(engel.AdaptedCoframe, "volume",
-                            lambda acf: volume(acf) * Fraction(3, 2))
-        report = self.assert_failed(["geometry", "--t", "x3"])
-        assert report.results["volume_identity"] is False
-        assert report.results["connection_identity"] is True
-        assert report.results["consistent"] is False
-
     @pytest.mark.parametrize("command", ["cohomology", "normalization"])
     def test_tanaka_structure_constant(self, monkeypatch, command):
         from dataclasses import replace

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engelkit import engel
+from engelkit.cli import run
 from engelkit.engel import (
     AdaptedCoframe,
     BranchNotConstantError,
@@ -331,19 +332,48 @@ class TestGeometricChecks:
 
 
 class TestGenericProof:
-    """The hypotheses under which the generic proof covers every marking."""
+    """The generic proof, its hypotheses, and that it can fail."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_proof(self):
+        engel._generic_identities.cache_clear()
+        yield
+        engel._generic_identities.cache_clear()
 
     @staticmethod
     def jet_free(e: Expr) -> bool:
         return all(v.kind is not VarKind.JET for v in e.occurring_vars())
 
+    @staticmethod
+    def failed_geometry(t: str) -> dict:
+        code, report = run(["geometry", "--t", t])
+        assert code == 1 and report.status == "verification-failed"
+        assert report.results["consistent"] is False
+        return report.results
+
     def test_the_proof_holds(self):
         assert engel._generic_identities() == (True, True)
+
+    def test_a_bent_connection_identity_fails(self, monkeypatch):
+        # xi4 = -t^3 X1 + t^2 X2 - 2t X3 + X4: the recombination misses xi4
+        monkeypatch.setattr(engel, "_line_in_flat_frame",
+                            lambda t: [integer(0), -t ** 3, t ** 2, -2 * t, integer(1)])
+        results = self.failed_geometry("x3")
+        assert results["connection_identity"] is False
+        assert results["volume_identity"] is True
+
+    def test_a_bent_volume_identity_fails(self, monkeypatch):
+        # the right-hand side becomes 3 J vol
+        volume = AdaptedCoframe.volume
+        monkeypatch.setattr(AdaptedCoframe, "volume",
+                            lambda acf: volume(acf) * Fraction(3, 2))
+        results = self.failed_geometry("x3")
+        assert results["volume_identity"] is False
+        assert results["connection_identity"] is True
 
     def test_generic_marking_is_the_jet_symbol(self):
         acf = AdaptedCoframe.generic()
         assert acf.t == symbol("t") and acf.t.occurring_vars()[0].kind is VarKind.JET
-        assert acf.J == -acf.t_frame[4]
 
     def test_determinant_is_one(self):
         assert AdaptedCoframe.generic().coframe.det == 1

@@ -447,15 +447,7 @@ class TestInjectedFaults:
 
     @pytest.mark.parametrize("command", ["cohomology", "normalization"])
     def test_tanaka_structure_constant(self, monkeypatch, command):
-        from dataclasses import replace
-
-        from engelkit import g2alg, tanaka
-
-        alg = g2alg.commutator_table()
-        constants = {pair: dict(entry) for pair, entry in alg.constants.items()}
-        constants[(1, 4)][0] *= 2  # the Heisenberg pairing [E1, E4] = c E0
-        monkeypatch.setattr(tanaka, "commutator_table",
-                            lambda: replace(alg, constants=constants))
+        self.double_heisenberg_pairing(monkeypatch)
         report = self.assert_failed(["tanaka", command])
         assert report.results["pass"] is False
         if command == "cohomology":
@@ -464,17 +456,24 @@ class TestInjectedFaults:
             assert report.results["image_full_dim"] != 16
 
     @staticmethod
-    def double_heisenberg_pairing(monkeypatch):
-        """c^0_14 doubled in the table `tanaka` reads: Jacobi fails."""
+    def bend_table(monkeypatch, pair, k, bend):
+        """Replace the E_k coefficient c of the bracket ``pair`` by
+        ``bend(c)`` in the table that `tanaka` reads."""
         from dataclasses import replace
 
         from engelkit import g2alg, tanaka
 
         alg = g2alg.commutator_table()
-        constants = {pair: dict(entry) for pair, entry in alg.constants.items()}
-        constants[(1, 4)][0] *= 2
+        constants = {p: dict(entry) for p, entry in alg.constants.items()}
+        entry = constants.setdefault(pair, {})
+        entry[k] = bend(entry.get(k, Fraction(0)))
         monkeypatch.setattr(tanaka, "commutator_table",
                             lambda: replace(alg, constants=constants))
+
+    @classmethod
+    def double_heisenberg_pairing(cls, monkeypatch):
+        """c^0_14 doubled in the table `tanaka` reads: Jacobi fails."""
+        cls.bend_table(monkeypatch, (1, 4), 0, lambda c: 2 * c)
 
     def test_tanaka_cohomology_names_the_broken_complex(self, monkeypatch):
         self.double_heisenberg_pairing(monkeypatch)
@@ -500,6 +499,15 @@ class TestInjectedFaults:
             "matrix does not extend to a graded derivation"]
         code, report = run(["tanaka", "prolong", "--g0", "borel", "--max-degree", "-1"])
         assert code == 2 and report.status == "input-error"
+
+    @pytest.mark.parametrize("pair, k", [((6, 8), 6), ((5, 12), 12)])
+    def test_tanaka_borel_parabolic_bracket(self, monkeypatch, pair, k):
+        # the Borel prolongs as before; a doubled [E6, E8] breaks the grade-0
+        # brackets, a doubled [E5, E12] the grade-0 action on degree 1
+        self.bend_table(monkeypatch, pair, k, lambda c: 2 * c)
+        report = self.assert_failed(["tanaka", "prolong", "--g0", "borel"])
+        assert report.results["matches_parabolic"] is False
+        assert report.results["degree_dims"] == [1, 0]
 
     def test_invariants_structure_route(self, monkeypatch):
         from dataclasses import replace

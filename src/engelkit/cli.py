@@ -388,7 +388,7 @@ def _cmd_tanaka_prolong(args, report: Report) -> None:
     try:
         table = tanaka.tanaka_prolong(_g0_matrices(args.g0), max_degree=args.max_degree)
         matches = tanaka.prolongation_matches_parabolic() if args.g0 == "borel" else None
-    except ValueError as exc:
+    except (ValueError, tanaka.StructureError) as exc:
         report.results["failures"] = [str(exc)]
         report.status = FAILED
         return
@@ -416,11 +416,13 @@ def _cmd_tanaka_cohomology(args, report: Report) -> None:
     failures: list[str] = []
 
     def dim(coefficients: str, q: int, homogeneity: int) -> int | None:
-        """The dimension, or None, with the failure named, where d o d != 0."""
+        """The dimension, or None, with the failure named, where d o d != 0
+        or the table breaks the grading."""
         try:
             return tanaka.cohomology_dim(coefficients, q, homogeneity, boundaries)
-        except tanaka.BrokenComplexError as exc:
-            failures.append(str(exc))
+        except (tanaka.BrokenComplexError, tanaka.StructureError) as exc:
+            if str(exc) not in failures:
+                failures.append(str(exc))
             return None
 
     if args.degree is not None:
@@ -429,6 +431,7 @@ def _cmd_tanaka_cohomology(args, report: Report) -> None:
         report.results["dimension"] = dim(coefficients, args.degree, homogeneity)
         if failures:
             report.results["failures"] = failures
+            report.results["pass"] = False
             report.status = FAILED
         return
     for option, value in (("--coefficients", args.coefficients),
@@ -454,7 +457,13 @@ def _cmd_tanaka_cohomology(args, report: Report) -> None:
 def _cmd_tanaka_normalization(args, report: Report) -> None:
     from . import tanaka
 
-    rep = tanaka.normalization_obstruction()
+    try:
+        rep = tanaka.normalization_obstruction()
+    except tanaka.StructureError as exc:
+        report.results["failures"] = [str(exc)]
+        report.results["pass"] = False
+        report.status = FAILED
+        return
     report.results["two_cochain_dim"] = rep.two_cochain_dim
     report.results["image_full_dim"] = rep.image_full_dim
     report.results["image_parabolic_dim"] = rep.image_parabolic_dim

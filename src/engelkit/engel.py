@@ -750,6 +750,33 @@ def _lift_omega(acf: AdaptedCoframe) -> list[DifferentialForm]:
     return lifted
 
 
+def _tautological_lift(w: list[DifferentialForm], inv):
+    """The tautological forms theta0..theta4 on the bundle, from the lifted
+    coframe ``w`` and the closed-form invariants ``inv``, with the omega0
+    coefficients s1, s2, s3 of theta1..theta3.
+
+    Under delta -> l delta, s5 -> m s5, s7 -> (l/m) s7, s4 -> (l/m)^3 s4,
+    each theta_i scales by one factor: l^3, m^3, l m, l^2/m, l^3/m^3.
+    """
+    s4, s5, s7, delta = (symbol(n) for n in ("s4", "s5", "s7", "delta"))
+    a, b, c, J = inv.a, inv.b, inv.c, inv.J
+    s1 = s5 ** 3 * (3 * J * s5 * s7 - a * delta) / delta
+    s2 = s5 * (b * delta ** 2 - 2 * a * delta * s5 * s7
+               + 3 * J * s5 ** 2 * s7 ** 2) / (2 * delta)
+    s3 = (-c * delta ** 2 + b * delta * s5 * s7 - a * s5 ** 2 * s7 ** 2
+          + J * s5 ** 3 * s7 ** 3 / delta) / s5
+    theta = [
+        w[0] * (-delta ** 3),
+        w[0] * s1 + w[1] * s5 ** 3,
+        w[0] * s2 + w[1] * (s5 ** 2 * s7) - w[2] * (delta * s5),
+        w[0] * s3 + w[1] * (s5 * s7 ** 2) - w[2] * (2 * delta * s7)
+        + w[3] * (delta ** 2 / s5),
+        w[0] * s4 + w[1] * s7 ** 3 - w[2] * (3 * delta * s7 ** 2 / s5)
+        + w[3] * (3 * delta ** 2 * s7 / s5 ** 2) - w[4] * (delta ** 3 / s5 ** 3),
+    ]
+    return theta, (s1, s2, s3)
+
+
 def tautological_forms(t: Expr | MarkedStructure | AdaptedCoframe) -> TautologicalReport:
     """Build the five tautological forms on the bundle and verify the torsions.
 
@@ -760,22 +787,11 @@ def tautological_forms(t: Expr | MarkedStructure | AdaptedCoframe) -> Tautologic
     """
     acf = adapted_coframe(t)
     inv = invariants_closed_form(acf)
-    w = _lift_omega(acf)
     s4, s5, s7, delta = (symbol(n) for n in ("s4", "s5", "s7", "delta"))
     a, b, c, J = inv.a, inv.b, inv.c, inv.J
     dJ = _frame_derivatives(acf.coframe, J)
-
-    theta0 = w[0] * (-delta ** 3)
-    theta1 = w[0] * (s5 ** 3 * (3 * J * s5 * s7 - a * delta) / delta) + w[1] * s5 ** 3
-    theta2 = w[0] * (s5 * (b * delta ** 2 - 2 * a * delta * s5 * s7
-                           + 3 * J * s5 ** 2 * s7 ** 2) / (2 * delta)) \
-        + w[1] * (s5 ** 2 * s7) - w[2] * (delta * s5)
-    theta3 = w[0] * ((-c * delta ** 3 + b * delta ** 2 * s5 * s7
-                      - a * delta * s5 ** 2 * s7 ** 2 + J * s5 ** 3 * s7 ** 3) / s5) \
-        + w[1] * (s5 * s7 ** 2) - w[2] * (2 * delta * s7) + w[3] * (delta ** 2 / s5)
-    theta4 = w[0] * s4 + w[1] * s7 ** 3 - w[2] * (3 * delta * s7 ** 2 / s5) \
-        + w[3] * (3 * delta ** 2 * s7 / s5 ** 2) - w[4] * (delta ** 3 / s5 ** 3)
-    theta = [theta0, theta1, theta2, theta3, theta4]
+    theta, _ = _tautological_lift(_lift_omega(acf), inv)
+    theta0, theta1, theta2, theta3, theta4 = theta
 
     check0 = theta0.d().wedge(theta0) == \
         theta1.wedge(theta4).wedge(theta0) - theta2.wedge(theta3).wedge(theta0) * 3
@@ -857,21 +873,12 @@ def verify_flat_reduction() -> FlatReductionReport:
     d_s7 = _d(ch, 7)
     d_delta = _d(ch, 8)
 
-    a, b, c, J = inv.a, inv.b, inv.c, inv.J
+    a, b, c = inv.a, inv.b, inv.c
     a1 = _frame_derivatives(acf.coframe, a)[1]
     Q, R = inv.Q, inv.R
 
-    s1 = -a * s5 ** 3
-    s2 = b * s5 * delta / 2 - a * s5 ** 2 * s7
-    s3 = (-c * delta ** 2 + b * s5 * s7 * delta - a * s5 ** 2 * s7 ** 2) / s5
-
-    theta0 = w[0] * (-delta ** 3)
-    theta1 = w[0] * s1 + w[1] * s5 ** 3
-    theta2 = w[0] * s2 + w[1] * (s5 ** 2 * s7) - w[2] * (delta * s5)
-    theta3 = w[0] * s3 + w[1] * (s5 * s7 ** 2) - w[2] * (2 * delta * s7) \
-        + w[3] * (delta ** 2 / s5)
-    theta4 = w[0] * s4 + w[1] * s7 ** 3 - w[2] * (3 * delta * s7 ** 2 / s5) \
-        + w[3] * (3 * delta ** 2 * s7 / s5 ** 2) - w[4] * (delta ** 3 / s5 ** 3)
+    (theta0, theta1, theta2, theta3, theta4), (s1, s2, s3) = \
+        _tautological_lift(w, inv)
 
     u0 = ((4 * a1 - 6 * b * c - 3 * Q) * delta ** 3
           + 3 * b ** 2 * s5 * s7 * delta ** 2

@@ -765,10 +765,6 @@ class Expr:
     def is_zero(self) -> bool:
         return not self._elem
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.occurring_vars()
-
     def occurring_vars(self) -> tuple[Var, ...]:
         """Variables that actually appear in the canonical form."""
         used = []

@@ -28,6 +28,7 @@ __all__ = [
     "cohomology_dim",
     "cochain_dims",
     "BrokenComplexError",
+    "StructureError",
     "normalization_obstruction",
     "NormalizationReport",
     "prolongation_matches_parabolic",
@@ -327,9 +328,25 @@ def tanaka_prolong(g0_matrices: Sequence[Sequence[Sequence[Fraction]]],
 _Q_INDICES = (0, 1, 2, 3, 4, 5, 6, 8, 12)
 
 
+class StructureError(Exception):
+    """The commutator table breaks the grading or the diagonal Cartan action
+    that a construction relies on; the message names the bracket."""
+
+
+def _graded_table() -> LieAlgebraSC:
+    """The commutator table, with every bracket checked to respect GRADES."""
+    alg = commutator_table()
+    for (i, j), entry in alg.constants.items():
+        grade = GRADES[i] + GRADES[j]
+        for k, c in entry.items():
+            if c and GRADES[k] != grade:
+                raise StructureError(f"[E{i}, E{j}] has an E{k} term outside grade {grade}")
+    return alg
+
+
 def _coefficient_data(coefficients: str):
     """Basis indices and grades of the coefficient module ('g' or 'q')."""
-    alg = commutator_table()
+    alg = _graded_table()
     if coefficients == "g":
         idx = tuple(range(14))
     elif coefficients == "q":
@@ -339,15 +356,12 @@ def _coefficient_data(coefficients: str):
     return alg, idx, tuple(GRADES[i] for i in idx)
 
 
-def _m_basis_grades():
-    return (0, 1, 2, 3, 4), (-2, -1, -1, -1, -1)
-
-
-def _cochain_basis(idx, grades, q: int, homogeneity: int):
-    m_idx, m_grades = _m_basis_grades()
+def _cochain_basis(grades, q: int, homogeneity: int):
+    """The q-cochains ``(subset of E0..E4, coefficient position)`` of the
+    given homogeneity."""
     basis = []
     for subset in combinations(range(5), q):
-        wt = sum(m_grades[s] for s in subset)
+        wt = sum(GRADES[s] for s in subset)
         for pos, grade in enumerate(grades):
             if grade - wt == homogeneity:
                 basis.append((subset, pos))
@@ -360,7 +374,6 @@ def _apply_cochain(subset: tuple[int, ...], args: tuple[int, ...]) -> int:
         return 0
     perm = [subset.index(a) for a in args]
     sign = 1
-    perm = list(perm)
     for i in range(len(perm)):
         for j in range(i + 1, len(perm)):
             if perm[i] > perm[j]:
@@ -372,8 +385,8 @@ def _boundary_matrix(coefficients: str, q: int, homogeneity: int):
     """Matrix of the standard differential C^q_l -> C^{q+1}_l, plus both bases."""
     alg, idx, grades = _coefficient_data(coefficients)
     pos_of = {v: n for n, v in enumerate(idx)}
-    src = _cochain_basis(idx, grades, q, homogeneity)
-    dst = _cochain_basis(idx, grades, q + 1, homogeneity)
+    src = _cochain_basis(grades, q, homogeneity)
+    dst = _cochain_basis(grades, q + 1, homogeneity)
     dst_pos = {b: n for n, b in enumerate(dst)}
     # ad of the m-basis elements on the coefficient module
     ad = {i: alg.ad(i) for i in range(5)}
@@ -397,7 +410,9 @@ def _boundary_matrix(coefficients: str, q: int, homogeneity: int):
                             total_per_target.get(pos_of[target], Fraction(0)) \
                             + ((-1) ** i) * s * c
                     elif c != 0:
-                        raise AssertionError("coefficient module is not invariant")
+                        raise StructureError(
+                            f"[E{xi}, E{v_index}] has an E{target} term outside "
+                            f"the coefficient module {coefficients!r}")
             # sum_{i<j} (-1)^{i+j} phi([x_i, x_j], rest)
             for i in range(q + 1):
                 for j in range(i + 1, q + 1):
@@ -420,8 +435,8 @@ def _boundary_matrix(coefficients: str, q: int, homogeneity: int):
 
 
 def cochain_dims(coefficients: str, q: int, homogeneity: int) -> int:
-    _, idx, grades = _coefficient_data(coefficients)
-    return len(_cochain_basis(idx, grades, q, homogeneity))
+    _, _, grades = _coefficient_data(coefficients)
+    return len(_cochain_basis(grades, q, homogeneity))
 
 
 def _boundary(coefficients: str, q: int, homogeneity: int,
@@ -483,43 +498,52 @@ class NormalizationReport:
                 f"{self.all_invariant_lines_in_parabolic_image}")
 
 
-def _cochain_action_matrix(actor: int, basis, idx) -> Mat:
-    """Tensorial action of a grade-0 basis element on 2-cochains.
+def _cochain_action_matrix(alg: LieAlgebraSC, actor: int, basis) -> Mat:
+    """Tensorial action of a grade-0 basis element on 2-cochains of g.
 
     (X.phi)(x, y) = [X, phi(x, y)] - phi([X, x], y) - phi(x, [X, y]),
     evaluated directly on all argument pairs.
     """
-    alg = commutator_table()
-    pos_of = {v: n for n, v in enumerate(idx)}
     basis_pos = {b: n for n, b in enumerate(basis)}
     n = len(basis)
     out = [[Fraction(0)] * n for _ in range(n)]
     ad_actor = alg.ad(actor)
-    for col, (subset, vpos) in enumerate(basis):
-        v_index = idx[vpos]
+    for col, (subset, v) in enumerate(basis):
         for a in range(5):
             for b in range(a + 1, 5):
                 # [X, phi(e_a, e_b)]
                 s = _apply_cochain(subset, (a, b))
                 if s != 0:
                     for target in range(14):
-                        c = ad_actor[target][v_index]
+                        c = ad_actor[target][v]
                         if c != 0:
-                            key = ((a, b), pos_of[target])
+                            key = ((a, b), target)
                             if key in basis_pos:
                                 out[basis_pos[key]][col] += s * c
                 # -phi([X, e_a], e_b) - phi(e_a, [X, e_b])
                 for m, c in alg.bracket_basis(actor, a).items():
                     s2 = _apply_cochain(subset, (m, b))
                     if s2 != 0:
-                        key = ((a, b), vpos)
+                        key = ((a, b), v)
                         out[basis_pos[key]][col] -= s2 * c
                 for m, c in alg.bracket_basis(actor, b).items():
                     s2 = _apply_cochain(subset, (a, m))
                     if s2 != 0:
-                        key = ((a, b), vpos)
+                        key = ((a, b), v)
                         out[basis_pos[key]][col] -= s2 * c
     return out
+
+
+def _cartan_weights(alg: LieAlgebraSC, actor: int) -> list[Fraction]:
+    """The weight of each basis element under ad(E_actor), which must be
+    diagonal on g."""
+    ad = alg.ad(actor)
+    for k, row in enumerate(ad):
+        for j, c in enumerate(row):
+            if c and k != j:
+                raise StructureError(f"[E{actor}, E{j}] has an E{k} term, "
+                                     f"so ad(E{actor}) is not diagonal")
+    return [ad[j][j] for j in range(alg.dim)]
 
 
 def normalization_obstruction() -> NormalizationReport:
@@ -529,34 +553,31 @@ def normalization_obstruction() -> NormalizationReport:
     grade-0 part of the parabolic (two diagonal generators and one nilpotent
     generator) and verifies each lies inside the parabolic image, which is of
     codimension one.
+
+    The diagonal generators E5 and E8 act on the cochain
+    e^a ^ e^b (x) E_v with weight w(v) - w(a) - w(b), where w is the
+    diagonal of ad(E5) or ad(E8).  That holds only if both matrices are
+    diagonal on g, which is checked first; StructureError names the bracket
+    that breaks it.
     """
-    alg, idx_g, grades_g = _coefficient_data("g")
-    basis2 = _cochain_basis(idx_g, grades_g, 2, 1)
+    alg = _graded_table()
+    w5, w8 = _cartan_weights(alg, 5), _cartan_weights(alg, 8)
+
+    # the images of the boundaries C^1_1 -> C^2_1 are their matrices' columns
+    mat_g, _, basis2 = _boundary_matrix("g", 1, 1)
+    mat_q, _, basis2_q = _boundary_matrix("q", 1, 1)
     n2 = len(basis2)
-
-    mat_g, src_g, _ = _boundary_matrix("g", 1, 1)
-    mat_q, src_q, dst_q = _boundary_matrix("q", 1, 1)
     # embed the parabolic-coefficient image into the full 2-cochain basis
-    q_idx = _Q_INDICES
-    dst_embed = []
-    _, _, grades_q = _coefficient_data("q")
-    basis2_q = _cochain_basis(q_idx, grades_q, 2, 1)
     pos_full = {b: n for n, b in enumerate(basis2)}
-    for subset, vpos in basis2_q:
-        dst_embed.append(pos_full[(subset, idx_g.index(q_idx[vpos]))])
-
-    image_g = [linalg.mat_vec(mat_g, unit)
-               for unit in linalg.identity(len(src_g))]
-    image_q_small = [linalg.mat_vec(mat_q, unit)
-                     for unit in linalg.identity(len(src_q))]
+    dst_embed = [pos_full[(subset, _Q_INDICES[vpos])] for subset, vpos in basis2_q]
     image_q = []
-    for vec in image_q_small:
+    for vec in linalg.transpose(mat_q):
         big = [Fraction(0)] * n2
-        for small_pos, value in enumerate(vec):
-            big[dst_embed[small_pos]] = value
+        for big_pos, value in zip(dst_embed, vec):
+            big[big_pos] = value
         image_q.append(big)
 
-    img_g_basis = [row for row in linalg.row_echelon(image_g)[0]
+    img_g_basis = [row for row in linalg.row_echelon(linalg.transpose(mat_g))[0]
                    if any(x != 0 for x in row)]
     img_q_basis = [row for row in linalg.row_echelon(image_q)[0]
                    if any(x != 0 for x in row)]
@@ -564,22 +585,16 @@ def normalization_obstruction() -> NormalizationReport:
     mat2, src2, _ = _boundary_matrix("g", 2, 1)
     kernel_dim = len(src2) - linalg.rank(mat2)
 
-    act5 = _cochain_action_matrix(5, basis2, idx_g)
-    act8 = _cochain_action_matrix(8, basis2, idx_g)
-    act6 = _cochain_action_matrix(6, basis2, idx_g)
-    for name, act in (("5", act5), ("8", act8)):
-        for i in range(n2):
-            for j in range(n2):
-                if i != j and act[i][j] != 0:
-                    raise AssertionError(f"action of generator {name} is not diagonal")
-
+    act6 = _cochain_action_matrix(alg, 6, basis2)
     weights = {}
-    for col in range(n2):
-        weights.setdefault((act5[col][col], act8[col][col]), []).append(col)
+    # a "g" cochain's coefficient position is the basis index of E_v
+    for col, ((a, b), v) in enumerate(basis2):
+        key = (w5[v] - w5[a] - w5[b], w8[v] - w8[a] - w8[b])
+        weights.setdefault(key, []).append(col)
 
     ok = True
     line_weights = []
-    for (w5, w8), cols in weights.items():
+    for (_, weight), cols in weights.items():
         # intersection of this weight space with the full image
         weight_rows = []
         for col in cols:
@@ -598,7 +613,7 @@ def normalization_obstruction() -> NormalizationReport:
                 vec = [x + c * y for x, y in zip(vec, base)]
             if all(x == 0 for x in vec):
                 continue
-            line_weights.append(w8)
+            line_weights.append(weight)
             if not linalg.in_span(img_q_basis, vec):
                 ok = False
     return NormalizationReport(
@@ -632,9 +647,10 @@ def prolongation_matches_parabolic() -> bool:
     Builds the prolongation of (m, span of the three grade-0 parabolic
     generators acting on m), embeds the remaining positive generator as a
     degree-1 element and verifies every graded bracket against the structure
-    constants of the matrix model.
+    constants of the matrix model, which must respect the grading
+    (StructureError otherwise).
     """
-    alg = commutator_table()
+    alg = _graded_table()
     m = heisenberg_from_table(alg)
     gen_ids = (5, 6, 8)
     q0 = [_ad_on_minus1(alg, i) for i in gen_ids]
@@ -643,6 +659,7 @@ def prolongation_matches_parabolic() -> bool:
         return False
     prol = table.prolongation
     pos = {g: n for n, g in enumerate(gen_ids)}
+    q0_rows = [[x for row in block for x in row] for block in q0]
 
     def grade0_coords(entry: dict) -> Vec | None:
         vec = [Fraction(0)] * 3
@@ -652,6 +669,10 @@ def prolongation_matches_parabolic() -> bool:
             elif c != 0:
                 return None
         return vec
+
+    def grade0_matrix(coords: Vec) -> Mat:
+        return [[sum(c * block[r][s] for c, block in zip(coords, q0))
+                 for s in range(4)] for r in range(4)]
 
     # candidate degree-1 element from the positive parabolic generator
     candidate: Vec = []
@@ -667,36 +688,24 @@ def prolongation_matches_parabolic() -> bool:
 
     # application of the degree-1 element reproduces [E12, m] by construction;
     # the real compatibility checks are the grade-0 brackets
-    for a in gen_ids:
-        for b in gen_ids:
-            if a >= b:
-                continue
-            comm = linalg.commutator(_ad_on_minus1(alg, a), _ad_on_minus1(alg, b))
-            want = grade0_coords(alg.bracket_basis(a, b))
-            if want is None:
-                return False
-            expected = [[sum(w * _ad_on_minus1(alg, g)[r][s]
-                             for w, g in zip(want, gen_ids)) for s in range(4)]
-                        for r in range(4)]
-            if comm != expected:
-                return False
+    for (a, Da), (b, Db) in combinations(zip(gen_ids, q0), 2):
+        want = grade0_coords(alg.bracket_basis(a, b))
+        if want is None or linalg.commutator(Da, Db) != grade0_matrix(want):
+            return False
 
     # [grade0, degree1] computed through the prolongation must match the table
-    for a in gen_ids:
-        Da = _ad_on_minus1(alg, a)
+    for a, Da in zip(gen_ids, q0):
         scalar_a = extend_to_derivation(m, Da).scalar
         # f'(e_j) = [v, f(e_j)] - f(Dv e_j)
         new_f: list[Vec] = []
         for j in range(4):
-            f_ej = candidate[3 * j: 3 * j + 3]
             # [v, f(e_j)]: commutator of grade-0 elements, in coordinates
-            Mf = [[sum(c * _ad_on_minus1(alg, g)[r][s]
-                       for c, g in zip(f_ej, gen_ids)) for s in range(4)]
-                  for r in range(4)]
-            comm_coords = _grade0_coordinates(alg, gen_ids, linalg.commutator(Da, Mf))
-            if comm_coords is None:
+            Mf = grade0_matrix(candidate[3 * j: 3 * j + 3])
+            comm = linalg.commutator(Da, Mf)
+            column_j = linalg.coordinates_in_basis(
+                q0_rows, [x for row in comm for x in row])
+            if column_j is None:
                 return False
-            column_j = list(comm_coords)
             for jj in range(4):
                 if Da[jj][j] != 0:
                     f_ejj = candidate[3 * jj: 3 * jj + 3]
@@ -717,8 +726,3 @@ def prolongation_matches_parabolic() -> bool:
         if got != want_vec:
             return False
     return True
-
-
-def _grade0_coordinates(alg: LieAlgebraSC, gen_ids, matrix: Mat) -> Vec | None:
-    rows = [[x for row in _ad_on_minus1(alg, g) for x in row] for g in gen_ids]
-    return linalg.coordinates_in_basis(rows, [x for row in matrix for x in row])

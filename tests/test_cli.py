@@ -509,6 +509,33 @@ class TestInjectedFaults:
         assert report.results["matches_parabolic"] is False
         assert report.results["degree_dims"] == [1, 0]
 
+    @pytest.mark.parametrize("pair, k, argv, failure", [
+        ((1, 5), 2, ["tanaka", "normalization"],
+         "[E5, E1] has an E2 term, so ad(E5) is not diagonal"),
+        ((1, 5), 7, ["tanaka", "normalization"],
+         "[E1, E5] has an E7 term outside grade -1"),
+        ((1, 5), 7, ["tanaka", "cohomology"],
+         "[E1, E5] has an E7 term outside grade -1"),
+        ((1, 5), 7, ["tanaka", "cohomology", "--degree", "2", "--coefficients", "q"],
+         "[E1, E5] has an E7 term outside grade -1"),
+        ((1, 12), 7, ["tanaka", "cohomology", "--degree", "1", "--coefficients", "q",
+                      "--homogeneity", "2"],
+         "[E1, E12] has an E7 term outside the coefficient module 'q'"),
+    ])
+    def test_tanaka_bent_grading(self, monkeypatch, pair, k, argv, failure):
+        # an E2 term in [E1, E5] keeps the grading but not E5's diagonal
+        # action; an E7 term leaves grade -1; an E7 term in [E1, E12] keeps
+        # the grading but leaves the parabolic
+        self.bend_table(monkeypatch, pair, k, lambda c: c + 1)
+        report = self.assert_failed(argv)
+        assert report.results["pass"] is False
+        assert report.results["failures"] == [failure]
+
+    def test_tanaka_borel_bent_grading(self, monkeypatch):
+        self.bend_table(monkeypatch, (1, 5), 7, lambda c: c + 1)
+        report = self.assert_failed(["tanaka", "prolong", "--g0", "borel"])
+        assert report.results["failures"] == ["[E1, E5] has an E7 term outside grade -1"]
+
     def test_invariants_structure_route(self, monkeypatch):
         from dataclasses import replace
 

@@ -413,6 +413,21 @@ class TestTautologicalForms:
         rep = tautological_forms(random_quadratic(rng))
         assert rep.all_hold()
 
+    @pytest.mark.parametrize("t", ["2*x1*x2 + x3", "(x1 - 3*x3)/(-x2 + 3*x4)"],
+                             ids=["J != 0", "Kerr J = 0"])
+    def test_each_form_is_homogeneous(self, t):
+        # delta -> l delta, s5 -> m s5, s7 -> (l/m) s7, s4 -> (l/m)^3 s4
+        # scales theta0..theta4 by l^3, m^3, l m, l^2/m, l^3/m^3
+        l, m = symbol("l"), symbol("m")
+        delta, s4, s5, s7 = (symbol(n) for n in ("delta", "s4", "s5", "s7"))
+        scale = {"delta": l * delta, "s5": m * s5, "s7": l / m * s7,
+                 "s4": (l / m) ** 3 * s4}
+        factors = [l ** 3, m ** 3, l * m, l ** 2 / m, l ** 3 / m ** 3]
+        for form, factor in zip(tautological_forms(parse(t)).theta, factors):
+            assert form.comps
+            for c in form.comps.values():
+                assert c.substitute(scale) == factor * c
+
 
 class TestFlatReduction:
     def test_all_nine_equations_close(self):

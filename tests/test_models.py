@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
 from engelkit import models
 from engelkit.models import (
     ConstantStructureSystem,
@@ -33,6 +35,12 @@ class TestJacobi:
         eqs[3][(3, 5)] = Fraction(-13, 5)  # perturb one scaling weight
         mutated = ConstantStructureSystem("mutated", 6, eqs)
         assert not jacobi_check(mutated)
+
+    def test_pair_out_of_order_rejected(self):
+        # the dual bracket would store (i, j) with i >= j where it never reads
+        for pair in ((5, 3), (2, 2)):
+            with pytest.raises(ValueError):
+                ConstantStructureSystem("bad", 6, {0: {pair: Fraction(1)}})
 
     def test_five_dim_systems_close(self):
         assert jacobi_check(by_name("five-dim-L"))

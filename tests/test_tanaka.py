@@ -9,8 +9,11 @@ import pytest
 
 from engelkit import linalg
 from engelkit.cubicalg import rho_prime
+from engelkit.g2alg import commutator_table
 from engelkit.tanaka import (
     _boundary_matrix,
+    _cartan_weights,
+    _cochain_action_matrix,
     _Prolongation,
     cochain_dims,
     cohomology_dim,
@@ -159,6 +162,17 @@ class TestNormalization:
         # one line per irreducible summand of the full image
         assert len(rep.invariant_line_weights) == 4
         assert rep.all_invariant_lines_in_parabolic_image
+
+    def test_cartan_weights_match_the_cochain_action(self):
+        # E5 and E8 act on e^a ^ e^b (x) E_v by w(v) - w(a) - w(b)
+        alg = commutator_table()
+        _, _, basis = _boundary_matrix("g", 1, 1)
+        for actor in (5, 8):
+            w = _cartan_weights(alg, actor)
+            diagonal = [[w[v] - w[a] - w[b] if row == col else 0
+                         for col, ((a, b), v) in enumerate(basis)]
+                        for row in range(len(basis))]
+            assert _cochain_action_matrix(alg, actor, basis) == diagonal
 
 
 class TestParabolicComparison:

@@ -9,6 +9,7 @@ import pytest
 from engelkit import models
 from engelkit.models import (
     ConstantStructureSystem,
+    _rational_sqrt,
     _restrict,
     catalogue,
     flat_ideal_report,
@@ -82,6 +83,14 @@ def dense_killing_form(alg):
     ads = [alg.ad(i) for i in range(n)]
     return [[sum(ads[i][k][l] * ads[j][l][k] for k in range(n) for l in range(n))
              for j in range(n)] for i in range(n)]
+
+
+def test_rational_sqrt_is_exact_beyond_float_precision():
+    big = 10 ** 20 + 1  # big**2 is not exactly a float
+    assert _rational_sqrt(Fraction(big ** 2, 9)) == Fraction(big, 3)
+    assert _rational_sqrt(Fraction(big ** 2 + 1, 9)) is None
+    assert _rational_sqrt(Fraction(2, 9)) is None
+    assert _rational_sqrt(Fraction(-4)) is None
 
 
 class TestKillingForm:

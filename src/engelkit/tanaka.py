@@ -63,9 +63,10 @@ class GradedNilpotent:
 
 
 def heisenberg_from_table(alg: LieAlgebraSC | None = None) -> GradedNilpotent:
-    """Extract the nilpotent part from the 14-dimensional structure constants."""
+    """Extract the nilpotent part from the 14-dimensional structure constants,
+    which must respect the grading (StructureError otherwise)."""
     if alg is None:
-        alg = commutator_table()
+        alg = _graded_table()
     pairing = tuple(
         tuple(alg.bracket_basis(i, j).get(0, Fraction(0)) for j in range(1, 5))
         for i in range(1, 5))

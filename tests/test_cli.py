@@ -523,11 +523,14 @@ class TestInjectedFaults:
          "[E1, E12] has an E7 term outside the coefficient module 'q'"),
         ((1, 5), 7, ["tanaka", "prolong", "--g0", "borel"],
          "[E1, E5] has an E7 term outside grade -1"),
+        ((1, 4), 5, ["tanaka", "prolong", "--g0", "gl2"],
+         "[E1, E4] has an E5 term outside grade -2"),
     ])
     def test_tanaka_bent_grading(self, monkeypatch, pair, k, argv, failure):
         # an E2 term in [E1, E5] keeps the grading but not E5's diagonal
         # action; an E7 term leaves grade -1; an E7 term in [E1, E12] keeps
-        # the grading but leaves the parabolic
+        # the grading but leaves the parabolic; the Heisenberg pairing reads
+        # only the E0 term of [E1, E4]
         self.bend_table(monkeypatch, pair, k, lambda c: c + 1)
         report = self.assert_failed(argv)
         assert report.results["failures"] == [failure]
